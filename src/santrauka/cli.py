@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -569,6 +570,8 @@ def run(config: RunConfig) -> int:
         print(f"error: data: {err}", file=sys.stderr)
     except OSError as err:
         print(f"error: io: {err}", file=sys.stderr)
+    except BrokenProcessPool as err:
+        print(f"error: worker: {err}", file=sys.stderr)
     return 1
 
 

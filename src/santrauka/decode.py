@@ -11,6 +11,11 @@ each step's shaped distribution; no length normalization is applied.
 Ties anywhere resolve toward the lower token id, which makes every
 decoder deterministic. Sampling draws from numpy's seeded PCG64 stream
 through inverse-CDF lookup, so outputs are reproducible bit for bit.
+
+All three decoders run one search loop: greedy and sampling keep one
+hypothesis, beam search keeps ``beam_size``. Each step scores every live
+hypothesis with one ``next_logits_batch`` call and shapes the rows
+together; every row is bit-identical to shaping that hypothesis alone.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from santrauka.lm import LanguageModel, apply_temperature
+from santrauka.lm import LanguageModel, softmax_rows
 from santrauka.tokenizer import TokenSequence, detokenize, token_ids
 
 __all__ = [
@@ -106,14 +111,8 @@ def top_k_filter(dist: np.ndarray, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    dist = np.asarray(dist, dtype=float)
-    if k >= dist.size:
-        return dist.copy()
-    order = np.lexsort((np.arange(dist.size), -dist))
-    out = np.zeros_like(dist)
-    keep = order[:k]
-    out[keep] = dist[keep]
-    return out / out.sum()
+    dist = np.array(dist, dtype=float)
+    return _top_k_rows(dist.reshape(1, -1), k)[0]
 
 
 def top_p_filter(dist: np.ndarray, p: float) -> np.ndarray:
@@ -124,18 +123,8 @@ def top_p_filter(dist: np.ndarray, p: float) -> np.ndarray:
     """
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    dist = np.asarray(dist, dtype=float)
-    if p == 1:
-        return dist.copy()
-    order = np.lexsort((np.arange(dist.size), -dist))
-    cumulative = np.cumsum(dist[order])
-    keep_count = int(np.searchsorted(cumulative, p, side="right"))
-    if keep_count == 0:
-        keep_count = 1
-    out = np.zeros_like(dist)
-    keep = order[:keep_count]
-    out[keep] = dist[keep]
-    return out / out.sum()
+    dist = np.array(dist, dtype=float)
+    return _top_p_rows(dist.reshape(1, -1), p)[0]
 
 
 def block_repeated_ngrams(
@@ -154,38 +143,105 @@ def block_repeated_ngrams(
     ids = tuple(ids)
     if len(ids) < n:
         return dist.copy()
-    seen = {ids[i : i + n] for i in range(len(ids) - n + 1)}
-    context = ids[len(ids) - (n - 1) :] if n > 1 else ()
-    out = dist.copy()
-    for gram in seen:
-        if gram[:-1] == context:
-            out[gram[-1]] = 0.0
-    total = out.sum()
-    if total <= 0.0:
-        out[:] = 0.0
-        out[eos_id] = 1.0
-        return out
-    return out / total
+    bans: dict = {}
+    for end in range(n, len(ids) + 1):
+        bans = _extend_bans(bans, ids[:end], n)
+    banned = bans.get(ids[len(ids) - n + 1 :], ())
+    return _ban_rows(dist.reshape(1, -1).copy(), [banned], eos_id)[0]
 
 
-def _shaped_distribution(
+def _by_probability(dist: np.ndarray) -> np.ndarray:
+    """Each row's ids, most probable first, ties toward the lower id."""
+    return (-dist).argsort(axis=1, kind="stable")
+
+
+def _ranked(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A column of row indices, each row's ids ordered by
+    :func:`_by_probability`, and the row's probabilities in that order."""
+    rows = np.arange(len(dist))[:, None]
+    order = _by_probability(dist)
+    return rows, order, dist[rows, order]
+
+
+def _unrank(rows: np.ndarray, order: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """Put ranked probabilities back at their ids and renormalize each row."""
+    out = np.empty_like(ranked)
+    out[rows, order] = ranked
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def _top_k_rows(dist: np.ndarray, k: int) -> np.ndarray:
+    if k >= dist.shape[1]:
+        return dist
+    rows, order, ranked = _ranked(dist)
+    ranked[:, k:] = 0.0
+    return _unrank(rows, order, ranked)
+
+
+def _top_p_rows(dist: np.ndarray, p: float) -> np.ndarray:
+    if p == 1:
+        return dist
+    rows, order, ranked = _ranked(dist)
+    # the mass only grows along a ranked row, so this zeroes the tail after
+    # the head that searchsorted(side="right") would find; the top id stays
+    beyond = ranked.cumsum(axis=1) > p
+    beyond[:, 0] = False
+    ranked[beyond] = 0.0
+    return _unrank(rows, order, ranked)
+
+
+def _extend_bans(bans: dict, prefix: tuple[int, ...], n: int) -> dict:
+    """``bans`` plus the n-gram that ends ``prefix``.
+
+    ``bans`` maps each (n-1)-gram seen so far to the ids that followed it.
+    """
+    key = prefix[len(prefix) - n : -1]
+    return {**bans, key: bans.get(key, ()) + (prefix[-1],)}
+
+
+def _ban_rows(dist: np.ndarray, banned: list, eos_id: int) -> np.ndarray:
+    """Zero each row's banned ids and renormalize, in place; a row left
+    with no mass becomes eos."""
+    for row, tokens in zip(dist, banned):
+        row[list(tokens)] = 0.0
+    totals = dist.sum(axis=1, keepdims=True)
+    if totals.min() <= 0.0:
+        empty = totals[:, 0] <= 0.0
+        dist[empty] = 0.0
+        dist[empty, eos_id] = 1.0
+        totals[empty] = 1.0
+    dist /= totals
+    return dist
+
+
+class _Live(NamedTuple):
+    """An unfinished hypothesis: prompt + generated ids, score, ban index."""
+
+    prefix: tuple[int, ...]
+    log_prob: float
+    bans: dict
+
+
+def _step(
     model: LanguageModel,
-    prompt_ids: tuple[int, ...],
-    generated: tuple[int, ...],
+    live: list[_Live],
+    length: int,
     config: DecodeConfig,
     sampling: bool,
 ) -> np.ndarray:
-    logits = model.next_logits(prompt_ids + generated)
-    dist = apply_temperature(logits, config.temperature)
+    """The shaped next-token distribution of every live hypothesis, one row
+    each, from one batched model call; ``length`` ids are generated so far."""
+    logits = model.next_logits_batch([hyp.prefix for hyp in live])
+    dist = softmax_rows(np.asarray(logits, dtype=float) / config.temperature)
     if sampling:
         if config.top_k is not None:
-            dist = top_k_filter(dist, config.top_k)
+            dist = _top_k_rows(dist, config.top_k)
         if config.top_p is not None:
-            dist = top_p_filter(dist, config.top_p)
-    if config.no_repeat_ngram_size is not None:
-        dist = block_repeated_ngrams(
-            generated, dist, config.no_repeat_ngram_size, model.vocab.eos_id
-        )
+            dist = _top_p_rows(dist, config.top_p)
+    n = config.no_repeat_ngram_size
+    if n is not None and length >= n:
+        banned = [hyp.bans.get(hyp.prefix[len(hyp.prefix) - n + 1 :], ()) for hyp in live]
+        dist = _ban_rows(dist, banned, model.vocab.eos_id)
     return dist
 
 
@@ -207,27 +263,20 @@ def _prompt_finished(model: LanguageModel, prompt_ids: tuple[int, ...]) -> bool:
     return bool(prompt_ids) and prompt_ids[-1] == model.vocab.eos_id
 
 
-def greedy_decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
-    """Follow the argmax of each step's shaped distribution until eos."""
-    prompt_ids = token_ids(prompt)
-    if _prompt_finished(model, prompt_ids):
-        return _result(model, (), 0.0)
-    eos = model.vocab.eos_id
-    generated: tuple[int, ...] = ()
-    score = 0.0
-    for _ in range(config.max_length):
-        dist = _shaped_distribution(model, prompt_ids, generated, config, sampling=False)
-        token = int(np.argmax(dist))
-        score += math.log(dist[token])
-        generated = generated + (token,)
-        if token == eos:
-            break
-    return _result(model, generated, score)
+#: Chooses the successors of each live hypothesis: (step distributions,
+#: width) -> a list of ids per row, possibly empty.
+_Picker = Callable[[np.ndarray, int], list[list[int]]]
 
 
-def _successors(dist: np.ndarray, count: int) -> list[int]:
-    order = np.lexsort((np.arange(dist.size), -dist))
-    return [int(t) for t in order[:count] if dist[t] > 0.0]
+def _best_successors(dist: np.ndarray, width: int) -> list[list[int]]:
+    if width == 1:
+        # argmax also takes the lowest id among ties, at a fraction of the
+        # cost, and a distribution's top entry is always positive
+        return [[token] for token in dist.argmax(axis=1).tolist()]
+    order = _by_probability(dist)[:, :width].tolist()
+    # positive entries sort first, so each row keeps a head of its order
+    support = (dist > 0.0).sum(axis=1).tolist()
+    return [ids[:count] for ids, count in zip(order, support)]
 
 
 def _sampled_successors(
@@ -237,63 +286,6 @@ def _sampled_successors(
     size = min(count, support)
     picks = rng.choice(dist.size, size=size, replace=False, p=dist / dist.sum())
     return sorted(int(t) for t in picks)
-
-
-def beam_search(
-    model: LanguageModel, prompt, config: DecodeConfig, return_all: bool = False
-):
-    """Keep the beam_size best partial sequences per step, return the best.
-
-    Hypotheses that emit eos (or hit max_length) are set aside as
-    finished; the winner is the finished hypothesis with the highest raw
-    log-probability, ties toward the lexicographically smaller id
-    sequence. With ``return_all`` the sorted finished pool is returned
-    alongside the best result.
-    """
-    prompt_ids = token_ids(prompt)
-    eos = model.vocab.eos_id
-    rng = np.random.default_rng(config.seed) if config.sample_within_beam else None
-    finished: list[Hypothesis] = []
-    if _prompt_finished(model, prompt_ids):
-        finished.append(Hypothesis((), 0.0, True))
-        live: list[Hypothesis] = []
-    else:
-        live = [Hypothesis((), 0.0, False)]
-    for _ in range(config.max_length):
-        if not live:
-            break
-        candidates: list[Hypothesis] = []
-        for hyp in live:
-            dist = _shaped_distribution(
-                model, prompt_ids, hyp.ids, config, sampling=config.sample_within_beam
-            )
-            if rng is not None:
-                picks = _sampled_successors(dist, config.beam_size, rng)
-            else:
-                picks = _successors(dist, config.beam_size)
-            for token in picks:
-                candidates.append(
-                    Hypothesis(
-                        hyp.ids + (token,),
-                        hyp.log_prob + math.log(dist[token]),
-                        token == eos,
-                    )
-                )
-        candidates.sort(key=lambda h: (-h.log_prob, h.ids))
-        live = []
-        for hyp in candidates:
-            if hyp.finished:
-                finished.append(hyp)
-            elif len(live) < config.beam_size:
-                live.append(hyp)
-    # anything still alive ran out of budget and counts as finished
-    finished.extend(Hypothesis(h.ids, h.log_prob, True) for h in live)
-    finished.sort(key=lambda h: (-h.log_prob, h.ids))
-    best = finished[0]
-    result = _result(model, best.ids, best.log_prob)
-    if return_all:
-        return result, finished
-    return result
 
 
 def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -306,23 +298,112 @@ def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
     return idx
 
 
+def _search(
+    model: LanguageModel,
+    prompt,
+    config: DecodeConfig,
+    width: int,
+    pick: _Picker,
+    sampling: bool,
+) -> tuple[Hypothesis, list[Hypothesis]]:
+    """Search with ``width`` live hypotheses; the best and the sorted pool.
+
+    Each step scores every live hypothesis with one batched model call,
+    extends each by the ids ``pick`` chooses, and keeps the ``width``
+    best unfinished candidates. Ordering is by score, then by
+    lexicographically smaller ids.
+    """
+    prompt_ids = token_ids(prompt)
+    start = len(prompt_ids)
+    eos = model.vocab.eos_id
+    n = config.no_repeat_ngram_size
+    finished: list[Hypothesis] = []
+    best_finished = -math.inf
+    if _prompt_finished(model, prompt_ids):
+        finished.append(Hypothesis((), 0.0, True))
+        live: list[_Live] = []
+    else:
+        live = [_Live(prompt_ids, 0.0, {})]
+    for length in range(config.max_length):
+        if not live:
+            break
+        dist = _step(model, live, length, config, sampling)
+        # live prefixes share one length, so (parent prefix, token) orders
+        # as the candidate's ids would, without building them
+        candidates = sorted(
+            (-(hyp.log_prob + math.log(row[token])), hyp.prefix, token, i)
+            for i, (hyp, row, tokens) in enumerate(zip(live, dist.tolist(), pick(dist, width)))
+            for token in tokens
+        )
+        parents, live = live, []
+        for neg_log_prob, _, token, i in candidates:
+            if token == eos:
+                ids = parents[i].prefix[start:] + (token,)
+                finished.append(Hypothesis(ids, -neg_log_prob, True))
+                best_finished = max(best_finished, -neg_log_prob)
+            elif len(live) < width:
+                prefix = parents[i].prefix + (token,)
+                bans = parents[i].bans
+                if n is not None and length + 1 >= n:
+                    bans = _extend_bans(bans, prefix, n)
+                live.append(_Live(prefix, -neg_log_prob, bans))
+        if live and best_finished > live[0].log_prob:
+            # every step adds log p <= 0, so no live hypothesis can reach
+            # the best finished score; on a tie the id order could still
+            # favour one, so ties keep decoding
+            live = []
+    # anything still alive ran out of budget and counts as finished
+    finished.extend(Hypothesis(h.prefix[start:], h.log_prob, True) for h in live)
+    finished.sort(key=lambda h: (-h.log_prob, h.ids))
+    return finished[0], finished
+
+
+def greedy_decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
+    """Follow the argmax of each step's shaped distribution until eos."""
+    best, _ = _search(model, prompt, config, 1, _best_successors, sampling=False)
+    return _result(model, best.ids, best.log_prob)
+
+
+def beam_search(
+    model: LanguageModel, prompt, config: DecodeConfig, return_all: bool = False
+):
+    """Keep the beam_size best partial sequences per step, return the best.
+
+    Hypotheses that emit eos (or hit max_length) are set aside as
+    finished; the winner is the finished hypothesis with the highest raw
+    log-probability, ties toward the lexicographically smaller id
+    sequence. Search stops early once the best finished score is
+    strictly greater than the best live score: scores never rise, so no
+    live hypothesis could still win, and the winner is the one a search
+    over the full max_length budget would return. With ``return_all``
+    the finished pool collected up to the stop is returned alongside the
+    best result, sorted, the winner first.
+    """
+    if config.sample_within_beam:
+        rng = np.random.default_rng(config.seed)
+
+        def pick(dist: np.ndarray, width: int) -> list[list[int]]:
+            return [_sampled_successors(row, width, rng) for row in dist]
+    else:
+        pick = _best_successors
+    best, finished = _search(
+        model, prompt, config, config.beam_size, pick, config.sample_within_beam
+    )
+    result = _result(model, best.ids, best.log_prob)
+    if return_all:
+        return result, finished
+    return result
+
+
 def sample_decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
     """Draw each token from the shaped distribution, seeded and repeatable."""
-    prompt_ids = token_ids(prompt)
-    if _prompt_finished(model, prompt_ids):
-        return _result(model, (), 0.0)
-    eos = model.vocab.eos_id
     rng = np.random.default_rng(config.seed)
-    generated: tuple[int, ...] = ()
-    score = 0.0
-    for _ in range(config.max_length):
-        dist = _shaped_distribution(model, prompt_ids, generated, config, sampling=True)
-        token = _sample_index(dist, rng)
-        score += math.log(dist[token])
-        generated = generated + (token,)
-        if token == eos:
-            break
-    return _result(model, generated, score)
+
+    def pick(dist: np.ndarray, width: int) -> list[list[int]]:
+        return [[_sample_index(row, rng)] for row in dist]
+
+    best, _ = _search(model, prompt, config, 1, pick, sampling=True)
+    return _result(model, best.ids, best.log_prob)
 
 
 def decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:

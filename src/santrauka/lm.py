@@ -31,6 +31,7 @@ __all__ = [
     "apply_temperature",
     "negative_log_likelihood",
     "softmax",
+    "softmax_rows",
     "train_ngram",
 ]
 
@@ -54,13 +55,21 @@ def softmax(logits) -> np.ndarray:
     y = np.asarray(logits, dtype=float)
     if y.size == 0:
         raise ValueError("empty logit vector")
-    if np.isnan(y).any() or np.isposinf(y).any():
-        raise ValueError("logits must be finite or -inf")
-    m = y.max()
-    if np.isneginf(m):
+    return softmax_rows(y.reshape(1, -1)).reshape(y.shape)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`softmax` of a 2-D array, each row bit-identical to
+    the softmax of that row alone; errors if any row has no distribution."""
+    y = np.asarray(logits, dtype=float)
+    m = y.max(axis=1, keepdims=True)
+    # a NaN or +inf entry makes its row's max non-finite, as does a row of -inf
+    if not np.isfinite(m).all():
+        if not (y < np.inf).all():
+            raise ValueError("logits must be finite or -inf")
         raise ValueError("all logits are -inf")
     z = np.exp(y - m)
-    return z / z.sum()
+    return z / z.sum(axis=1, keepdims=True)
 
 
 def apply_temperature(logits, tau: float) -> np.ndarray:
@@ -89,6 +98,14 @@ class LanguageModel(ABC):
     @abstractmethod
     def next_logits(self, prefix) -> np.ndarray: ...
 
+    def next_logits_batch(self, prefixes: Sequence) -> np.ndarray:
+        """Logits of every prefix as an (n x V) matrix, row i for prefix i.
+
+        Row i must equal ``next_logits(prefixes[i])`` bit for bit; this
+        default stacks those calls, and models override it to do one call.
+        """
+        return np.stack([np.asarray(self.next_logits(p), dtype=float) for p in prefixes])
+
     def next_distribution(self, prefix) -> np.ndarray:
         return softmax(self.next_logits(prefix))
 
@@ -110,11 +127,31 @@ class NGramModel(LanguageModel):
         self._vocab = vocab
         self._order = order
         self._alpha = float(alpha)
-        self._counts = {ctx: dict(bucket) for ctx, bucket in counts.items()}
-        self._totals = {ctx: sum(bucket.values()) for ctx, bucket in self._counts.items()}
-        for bucket in self._counts.values():
-            if any(c < 0 for c in bucket.values()):
-                raise ValueError("negative count")
+        self._counts = {}
+        self._totals = {}
+        #: context -> (token ids, counts) as arrays, for the batched fill
+        self._rows = {}
+        size = len(vocab)
+        for ctx, bucket in counts.items():
+            if len(ctx) != order - 1:
+                raise ValueError(
+                    f"context {ctx}: width {len(ctx)}, expected order - 1 = {order - 1}"
+                )
+            if any(x != BEGIN and not 0 <= x < size for x in ctx):
+                raise ValueError(f"context {ctx}: ids must be BEGIN or in [0, {size})")
+            try:
+                tokens = np.fromiter(bucket.keys(), dtype=np.intp, count=len(bucket))
+                in_range = not tokens.size or 0 <= tokens.min() and tokens.max() < size
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"context {ctx}: token ids must lie in [0, {size})")
+            values = np.fromiter(bucket.values(), dtype=float, count=len(bucket))
+            if (values < 0).any():
+                raise ValueError(f"context {ctx}: negative count")
+            self._counts[ctx] = dict(bucket)
+            self._totals[ctx] = sum(bucket.values())
+            self._rows[ctx] = (tokens, values)
 
     @property
     def vocab(self) -> Vocabulary:
@@ -134,30 +171,42 @@ class NGramModel(LanguageModel):
 
     def context_of(self, prefix) -> tuple[int, ...]:
         """Last order-1 prefix ids, left-padded with BEGIN markers."""
-        if self._order == 1:
+        width = self._order - 1
+        if width == 0:
             return ()
-        ids = token_ids(prefix)
-        padded = (BEGIN,) * (self._order - 1) + ids
-        return padded[len(padded) - (self._order - 1) :]
+        ids = prefix if isinstance(prefix, (tuple, list)) else token_ids(prefix)
+        tail = tuple(map(int, ids[-width:]))
+        return (BEGIN,) * (width - len(tail)) + tail
+
+    def _probs_batch(self, prefixes: Sequence) -> np.ndarray:
+        size = len(self._vocab)
+        smoothing = self._alpha * size
+        probs = np.full((len(prefixes), size), self._alpha, dtype=float)
+        denoms = []
+        for row, prefix in zip(probs, prefixes):
+            ctx = self.context_of(prefix)
+            total = self._totals.get(ctx, 0)
+            if total:
+                tokens, values = self._rows[ctx]
+                row[tokens] += values
+            denom = total + smoothing
+            if denom == 0:
+                raise UnseenContextError(
+                    f"context {ctx} never observed and alpha=0 leaves it undefined"
+                )
+            denoms.append(denom)
+        probs /= np.array(denoms)[:, None]
+        return probs
 
     def next_distribution(self, prefix) -> np.ndarray:
-        ctx = self.context_of(prefix)
-        size = len(self._vocab)
-        probs = np.full(size, self._alpha, dtype=float)
-        total = self._totals.get(ctx, 0)
-        if total:
-            for tok, count in self._counts[ctx].items():
-                probs[tok] += count
-        denom = total + self._alpha * size
-        if denom == 0:
-            raise UnseenContextError(
-                f"context {ctx} never observed and alpha=0 leaves it undefined"
-            )
-        return probs / denom
+        return self._probs_batch([prefix])[0]
+
+    def next_logits_batch(self, prefixes: Sequence) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self._probs_batch(prefixes))
 
     def next_logits(self, prefix) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.next_distribution(prefix))
+        return self.next_logits_batch([prefix])[0]
 
     def to_dict(self) -> dict:
         return {

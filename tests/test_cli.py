@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -232,23 +234,24 @@ class TestSplitCommand:
         assert code == 1
 
 
-class TestTrainAndDecodeCommands:
-    def build_model(self, tmp_path):
-        input_path = write_jsonl(tmp_path / "train.jsonl", synthetic_articles(20))
-        model_path = tmp_path / "model.json"
-        code = main(["train-lm", "--input", input_path, "--output", str(model_path),
-                     "--ngram-order", "3", "--alpha", "1.0"])
-        assert code == 0
-        return model_path
+def train_model_file(tmp_path):
+    input_path = write_jsonl(tmp_path / "train.jsonl", synthetic_articles(20))
+    model_path = tmp_path / "model.json"
+    code = main(["train-lm", "--input", input_path, "--output", str(model_path),
+                 "--ngram-order", "3", "--alpha", "1.0"])
+    assert code == 0
+    return model_path
 
+
+class TestTrainAndDecodeCommands:
     def test_train_produces_loadable_model(self, tmp_path):
-        model_path = self.build_model(tmp_path)
+        model_path = train_model_file(tmp_path)
         model = NGramModel.load(model_path)
         assert model.order == 3
         assert len(model.vocab) > 2
 
     def test_decode_results_are_deterministic(self, tmp_path):
-        model_path = self.build_model(tmp_path)
+        model_path = train_model_file(tmp_path)
         requests = [{"id": i, "prompt": "kalba diena"} for i in range(3)]
         input_path = write_jsonl(tmp_path / "req.jsonl", requests)
         output_path = tmp_path / "results.jsonl"
@@ -263,7 +266,7 @@ class TestTrainAndDecodeCommands:
         assert {"id", "text", "score", "steps", "config_echo"} <= set(first)
 
     def test_decode_bad_request_lines_recorded(self, tmp_path):
-        model_path = self.build_model(tmp_path)
+        model_path = train_model_file(tmp_path)
         input_path = tmp_path / "req.jsonl"
         input_path.write_text(
             '{"id": 1, "prompt": "kalba"}\nnot json\n{"id": 2}\n', encoding="utf-8"
@@ -357,3 +360,41 @@ class TestRunErrors:
         config = parse_args(["filter", "--input", str(tmp_path / "nope.jsonl"),
                              "--output", str(tmp_path / "o.jsonl")])
         assert run(config) == 1
+
+
+class TestTamperedModel:
+    @pytest.mark.parametrize("token", ["-1", "99"])
+    def test_decode_reports_a_data_error(self, tmp_path, capsys, token):
+        payload = json.loads(train_model_file(tmp_path).read_text(encoding="utf-8"))
+        context = next(iter(payload["counts"]))
+        payload["counts"][context][token] = 3
+        model_path = tmp_path / "tampered.json"
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "kalba"}])
+        output_path = tmp_path / "res.jsonl"
+        code = main(["decode", "--input", requests, "--model", str(model_path),
+                     "--output", str(output_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: data: context" in err
+        assert "token ids must lie in" in err
+        assert not output_path.exists()
+
+
+def _crash_worker(task):
+    """Stands in for the decode task and kills the worker process."""
+    os._exit(1)
+
+
+class TestWorkerCrash:
+    def test_broken_pool_is_a_worker_error(self, tmp_path, capsys, monkeypatch):
+        model_path = train_model_file(tmp_path)
+        requests = [{"id": i, "prompt": "kalba diena"} for i in range(4)]
+        input_path = write_jsonl(tmp_path / "req.jsonl", requests)
+        output_path = tmp_path / "res.jsonl"
+        monkeypatch.setattr(sys.modules["santrauka.decode"], "_decode_task", _crash_worker)
+        code = main(["decode", "--input", input_path, "--model", str(model_path),
+                     "--output", str(output_path), "--workers", "2"])
+        assert code == 1
+        assert "error: worker:" in capsys.readouterr().err
+        assert not output_path.exists()

@@ -294,3 +294,43 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match="version"):
             NGramModel.load(path)
+
+
+def tampered_model_file(tmp_path, tamper):
+    """ab_model's JSON file after ``tamper(counts)`` edits its counts."""
+    payload = ab_model(alpha=0.5).to_dict()
+    tamper(payload["counts"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+#: (edit of the counts, the message it must raise); vocabulary size 3, order 2
+TAMPERED_COUNTS = [
+    # a count under -1 would otherwise land on eos through negative indexing
+    (lambda c: c["0"].update({"-1": 40}), r"context \(0,\): token ids must lie in \[0, 3\)"),
+    (lambda c: c["0"].update({"99": 1}), r"context \(0,\): token ids must lie in \[0, 3\)"),
+    (lambda c: c.update({"7": {"0": 1}}), r"context \(7,\): ids must be BEGIN or in \[0, 3\)"),
+    (lambda c: c.update({"0 1": {"0": 1}}), r"context \(0, 1\): width 2, expected"),
+    (lambda c: c.update({"": {"0": 1}}), r"context \(\): width 0, expected"),
+    (lambda c: c["1"].update({"0": -2}), r"context \(1,\): negative count"),
+]
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "tamper, message",
+        TAMPERED_COUNTS,
+        ids=["token-minus-1", "token-99", "context-id-7", "too-wide", "too-narrow", "negative"],
+    )
+    def test_load_rejects_tampered_counts(self, tmp_path, tamper, message):
+        path = tampered_model_file(tmp_path, tamper)
+        with pytest.raises(ValueError, match=message):
+            NGramModel.load(path)
+
+    def test_constructor_rejects_out_of_range_ids(self):
+        vocab = ab_vocab()
+        with pytest.raises(ValueError, match="token ids"):
+            NGramModel(vocab, 1, 1.0, {(): {2**70: 1}})
+        with pytest.raises(ValueError, match="BEGIN"):
+            NGramModel(vocab, 2, 1.0, {(-2,): {0: 1}})
