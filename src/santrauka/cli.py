@@ -8,30 +8,37 @@ only, so same-seed reruns produce byte-identical outputs.
 
 All input and output data files are UTF-8 line-delimited JSON. The
 optional value 0 disables --top-k, --top-p, and --no-repeat-ngram-size.
+
+A new option is a RunConfig field and nowhere else: its flag, --config
+key, type check, and render_args form all follow from the field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, fields
+from dataclasses import Field, asdict, dataclass, field, fields
+from functools import partial
 from typing import Callable
 
+from santrauka._pool import map_ordered
 from santrauka.corpus import (
     FilterConfig,
     corpus_stats,
     filter_article,
     format_stats_table,
     ingest,
+    read_jsonl,
     split_validation,
     to_json_line,
 )
-from santrauka.decode import DecodeConfig, batch_decode
+from santrauka.decode import METHODS, DecodeConfig, batch_decode
 from santrauka.lm import NGramModel, train_ngram
 from santrauka.metrics import aggregate, evaluate_pair, render_table
 from santrauka.tokenizer import Vocabulary, char_vocabulary, viterbi_segment
@@ -44,33 +51,50 @@ COMMANDS = ("filter", "stats", "split", "train-lm", "decode", "evaluate", "pipel
 PIPELINE_PROMPT_TOKENS = 64
 
 
+def _option(default, help: str | None = None, **meta):
+    """A RunConfig field whose metadata describes its command-line flag."""
+    return field(default=default, metadata={"help": help, **meta})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved settings for one CLI invocation."""
+    """Fully resolved settings for one CLI invocation.
+
+    Each field after ``command`` is the flag ``--field-name``. Its metadata
+    holds the ``help``, the ``type`` where the default is None, any
+    ``choices``, and ``zero_disables`` where a 0 is stored as None (off).
+    """
 
     command: str
-    input: str | None = None
-    output: str | None = None
-    model: str | None = None
-    vocab: str | None = None
-    seed: int = 0
-    workers: int = 1
-    method: str = "beam"
-    beam_size: int = 10
-    top_k: int | None = None
-    top_p: float | None = None
-    temperature: float = 1.0
-    no_repeat_ngram_size: int | None = 2
-    max_length: int = 128
-    sample_within_beam: bool = False
-    ngram_order: int = 3
-    alpha: float = 1.0
-    n_validation: int = 4096
-    stemmer: str = "identity"
-    min_summary_chars: int = 10
-    min_body_chars: int = 100
-    min_ratio: float = 2.0
-    max_overlap_ratio: float = 0.2
+    input: str | None = _option(None, "input data file (line-delimited JSON)", type=str)
+    output: str | None = _option(None, "output path; split appends .train/.valid", type=str)
+    model: str | None = _option(None, "trained model file (decode)", type=str)
+    vocab: str | None = _option(None, "vocabulary file; default derives one from the data",
+                                type=str)
+    seed: int = _option(0, "master seed for all randomness")
+    workers: int = _option(1, "parallel worker count")
+    method: str = _option("beam", "decoding algorithm (default: beam)", choices=METHODS)
+    beam_size: int = _option(10, "hypotheses kept per step (default: 10)")
+    top_k: int | None = _option(None, "sample from the k best tokens; 0 disables (default)",
+                                type=int, zero_disables=True)
+    top_p: float | None = _option(None, "sample from the p-mass head; 0 disables (default)",
+                                  type=float, zero_disables=True)
+    temperature: float = _option(1.0, "logit divisor (default: 1.0)")
+    no_repeat_ngram_size: int | None = _option(
+        2, "ban repeated n-grams of this size; 0 disables (default: 2)", zero_disables=True
+    )
+    max_length: int = _option(128, "token budget per decode (default: 128)")
+    sample_within_beam: bool = _option(
+        False, "sample beam successors instead of taking them greedily"
+    )
+    ngram_order: int = _option(3)
+    alpha: float = _option(1.0, "additive smoothing strength")
+    n_validation: int = _option(4096)
+    stemmer: str = _option("identity", "identity or lithuanian-light")
+    min_summary_chars: int = _option(10)
+    min_body_chars: int = _option(100)
+    min_ratio: float = _option(2.0)
+    max_overlap_ratio: float = _option(0.2)
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(
@@ -94,10 +118,27 @@ class RunConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+#: The RunConfig fields that are flags: all but ``command``.
+_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
 
-#: Flags whose value 0 means "disabled" (stored as None).
-_ZERO_DISABLES = ("top_k", "top_p", "no_repeat_ngram_size")
+
+def _flag(option: Field) -> str:
+    return "--" + option.name.replace("_", "-")
+
+
+def _value_type(option: Field) -> type:
+    return option.metadata.get("type", type(option.default))
+
+
+def _accepts(option: Field, value: object) -> bool:
+    """Whether a --config file value has the option's type: ints where
+    floats go, and null where the field's value may be None."""
+    if value is None:
+        return option.default is None or option.metadata.get("zero_disables", False)
+    kind = _value_type(option)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,79 +161,57 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for command in COMMANDS:
         p = sub.add_parser(command, help=help_by_command[command])
-        p.add_argument("--input", help="input data file (line-delimited JSON)")
-        p.add_argument("--output", help="output path; split appends .train/.valid")
         p.add_argument("--config", help="JSON file with RunConfig overrides")
-        p.add_argument("--seed", type=int, help="master seed for all randomness")
-        p.add_argument("--workers", type=int, help="parallel worker count")
-        p.add_argument("--model", help="trained model file (decode)")
-        p.add_argument("--vocab", help="vocabulary file; default derives one from the data")
-        p.add_argument("--method", choices=("greedy", "beam", "sample"),
-                       help="decoding algorithm (default: beam)")
-        p.add_argument("--beam-size", type=int, dest="beam_size",
-                       help="hypotheses kept per step (default: 10)")
-        p.add_argument("--top-k", type=int, dest="top_k",
-                       help="sample from the k best tokens; 0 disables (default)")
-        p.add_argument("--top-p", type=float, dest="top_p",
-                       help="sample from the p-mass head; 0 disables (default)")
-        p.add_argument("--temperature", type=float, help="logit divisor (default: 1.0)")
-        p.add_argument(
-            "--no-repeat-ngram-size",
-            type=int,
-            dest="no_repeat_ngram_size",
-            help="ban repeated n-grams of this size; 0 disables (default: 2)",
-        )
-        p.add_argument("--max-length", type=int, dest="max_length",
-                       help="token budget per decode (default: 128)")
-        p.add_argument(
-            "--sample-within-beam",
-            action="store_const",
-            const=True,
-            dest="sample_within_beam",
-            help="sample beam successors instead of taking them greedily",
-        )
-        p.add_argument("--ngram-order", type=int, dest="ngram_order")
-        p.add_argument("--alpha", type=float, help="additive smoothing strength")
-        p.add_argument("--n-validation", type=int, dest="n_validation")
-        p.add_argument("--stemmer", help="identity or lithuanian-light")
-        p.add_argument("--min-summary-chars", type=int, dest="min_summary_chars")
-        p.add_argument("--min-body-chars", type=int, dest="min_body_chars")
-        p.add_argument("--min-ratio", type=float, dest="min_ratio")
-        p.add_argument("--max-overlap-ratio", type=float, dest="max_overlap_ratio")
+        for option in _OPTIONS.values():
+            if _value_type(option) is bool:
+                p.add_argument(_flag(option), action="store_const", const=True,
+                               help=option.metadata["help"])
+            else:
+                p.add_argument(_flag(option), type=_value_type(option),
+                               choices=option.metadata.get("choices"),
+                               help=option.metadata["help"])
     return parser
 
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Parse argv into a fully resolved RunConfig.
 
-    Unknown flags, type mismatches, unknown config-file keys, and missing
-    required paths all exit with a usage error (status 2).
+    Unknown flags, type mismatches, unknown or mistyped config-file keys,
+    non-finite floats, and missing required paths all exit with a usage
+    error (status 2).
     """
     parser = _build_parser()
     namespace = parser.parse_args(argv)
     resolved = {"command": namespace.command}
 
-    config_path = getattr(namespace, "config", None)
-    if config_path:
+    if namespace.config:
         try:
-            with open(config_path, encoding="utf-8") as fh:
+            with open(namespace.config, encoding="utf-8") as fh:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             parser.error(f"cannot read --config file: {err}")
         if not isinstance(overrides, dict):
             parser.error("--config file must hold a JSON object")
-        unknown = set(overrides) - (set(_FIELD_TYPES) - {"command"})
+        unknown = set(overrides) - set(_OPTIONS)
         if unknown:
             parser.error(f"unknown keys in --config file: {sorted(unknown)}")
+        for key, value in overrides.items():
+            if not _accepts(_OPTIONS[key], value):
+                parser.error(
+                    f"--config key {key!r} must be {_value_type(_OPTIONS[key]).__name__}, "
+                    f"got {json.dumps(value)}"
+                )
         resolved.update(overrides)
 
-    for name in _FIELD_TYPES:
-        value = getattr(namespace, name, None)
-        if value is not None:
-            resolved[name] = value
-    for name in _ZERO_DISABLES:
-        if resolved.get(name) == 0:
+    for name, option in _OPTIONS.items():
+        flag_value = getattr(namespace, name)
+        if flag_value is not None:
+            resolved[name] = flag_value
+        value = resolved.get(name)
+        if value == 0 and option.metadata.get("zero_disables"):
             resolved[name] = None
+        elif isinstance(value, float) and not math.isfinite(value):
+            parser.error(f"{_flag(option)} must be a finite number, got {value}")
 
     try:
         config = RunConfig(**resolved)
@@ -201,11 +220,9 @@ def parse_args(argv: list[str]) -> RunConfig:
     except (TypeError, ValueError) as err:
         parser.error(str(err))
 
-    needs_input = True
-    needs_output = config.command not in ("stats",)
-    if needs_input and not config.input:
+    if not config.input:
         parser.error(f"{config.command} requires --input")
-    if needs_output and not config.output:
+    if config.command != "stats" and not config.output:
         parser.error(f"{config.command} requires --output")
     if config.command == "decode" and not config.model:
         parser.error("decode requires --model")
@@ -217,32 +234,20 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def render_args(config: RunConfig) -> list[str]:
-    """Inverse of parse_args: argv that reproduces ``config`` exactly."""
+    """Inverse of parse_args: argv that reproduces ``config`` exactly.
+
+    Values go as ``--flag=value``, so one starting with a dash stays a value.
+    """
     argv = [config.command]
-    for path_flag in ("input", "output", "model", "vocab"):
-        value = getattr(config, path_flag)
-        if value is not None:
-            argv += [f"--{path_flag}", value]
-    argv += ["--seed", str(config.seed), "--workers", str(config.workers)]
-    argv += ["--method", config.method, "--beam-size", str(config.beam_size)]
-    argv += ["--top-k", str(config.top_k if config.top_k is not None else 0)]
-    argv += ["--top-p", str(config.top_p if config.top_p is not None else 0)]
-    argv += ["--temperature", str(config.temperature)]
-    argv += [
-        "--no-repeat-ngram-size",
-        str(config.no_repeat_ngram_size if config.no_repeat_ngram_size is not None else 0),
-    ]
-    argv += ["--max-length", str(config.max_length)]
-    if config.sample_within_beam:
-        argv += ["--sample-within-beam"]
-    argv += ["--ngram-order", str(config.ngram_order), "--alpha", str(config.alpha)]
-    argv += ["--n-validation", str(config.n_validation), "--stemmer", config.stemmer]
-    argv += [
-        "--min-summary-chars", str(config.min_summary_chars),
-        "--min-body-chars", str(config.min_body_chars),
-        "--min-ratio", str(config.min_ratio),
-        "--max-overlap-ratio", str(config.max_overlap_ratio),
-    ]
+    for name, option in _OPTIONS.items():
+        value = getattr(config, name)
+        if value is None and option.metadata.get("zero_disables"):
+            value = 0
+        if _value_type(option) is bool:
+            if value:
+                argv.append(_flag(option))
+        elif value is not None:
+            argv.append(f"{_flag(option)}={value}")
     return argv
 
 
@@ -268,63 +273,33 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
-def _read_jsonl(path: str, required: tuple[str, ...]):
-    """Yield (line_no, record, error) triples from a line-delimited file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                yield line_no, None, f"invalid JSON: {err}"
-                continue
-            if not isinstance(record, dict):
-                yield line_no, None, "line is not a JSON object"
-                continue
-            missing = [key for key in required if key not in record]
-            if missing:
-                yield line_no, None, f"missing keys: {missing}"
-                continue
-            yield line_no, record, None
+def _write_lines(path: str, lines) -> None:
+    _atomic_write(path, lambda fh: fh.writelines(line + "\n" for line in lines))
+
+
+def _filter_report(config: RunConfig, report, ingest_errors: list) -> str:
+    """The JSON report of filter, and of stats with --output."""
+    return _dump(
+        {"config": asdict(config), "ingest_errors": len(ingest_errors), "report": report.as_dict()}
+    )
 
 
 def _filter_pass(config: RunConfig):
+    """Kept articles, the filter report, and the ingest errors."""
     ingest_errors: list = []
     articles = list(ingest(config.input, ingest_errors))
-    filter_config = config.filter_config()
-    if config.workers > 1 and len(articles) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, len(articles) // (config.workers * 4))
-            decisions = list(
-                pool.map(partial(filter_article, config=filter_config), articles, chunksize=chunk)
-            )
-    else:
-        decisions = [filter_article(article, filter_config) for article in articles]
+    keep = partial(filter_article, config=config.filter_config())
+    decisions = map_ordered(keep, articles, config.workers)
     report = corpus_stats(zip(articles, decisions))
-    return articles, decisions, report, ingest_errors
+    kept = [a for a, d in zip(articles, decisions) if d is None]
+    return kept, report, ingest_errors
 
 
 def _cmd_filter(config: RunConfig) -> int:
     started = time.monotonic()
-    articles, decisions, report, ingest_errors = _filter_pass(config)
-    kept = [a for a, d in zip(articles, decisions) if d is None]
-
-    def write(fh):
-        for article in kept:
-            fh.write(to_json_line(article) + "\n")
-
-    _atomic_write(config.output, write)
-    payload = {
-        "config": asdict(config),
-        "ingest_errors": len(ingest_errors),
-        "report": report.as_dict(),
-    }
-    print(_dump(payload))
+    kept, report, ingest_errors = _filter_pass(config)
+    _write_lines(config.output, map(to_json_line, kept))
+    print(_filter_report(config, report, ingest_errors))
     _progress(
         f"filter: kept {report.kept}/{report.total} articles "
         f"({len(ingest_errors)} bad lines) in {time.monotonic() - started:.1f}s"
@@ -333,16 +308,10 @@ def _cmd_filter(config: RunConfig) -> int:
 
 
 def _cmd_stats(config: RunConfig) -> int:
-    articles, decisions, report, ingest_errors = _filter_pass(config)
-    del articles, decisions
+    _, report, ingest_errors = _filter_pass(config)
     print(format_stats_table(report))
     if config.output:
-        payload = {
-            "config": asdict(config),
-            "ingest_errors": len(ingest_errors),
-            "report": report.as_dict(),
-        }
-        _atomic_write(config.output, lambda fh: fh.write(_dump(payload) + "\n"))
+        _write_lines(config.output, [_filter_report(config, report, ingest_errors)])
     return 0
 
 
@@ -356,16 +325,8 @@ def _cmd_split(config: RunConfig) -> int:
     articles = list(ingest(config.input, ingest_errors))
     train, validation = split_validation(articles, config.n_validation, config.seed)
     train_path, valid_path = _split_paths(config.output)
-
-    def writer(items):
-        def write(fh):
-            for article in items:
-                fh.write(to_json_line(article) + "\n")
-
-        return write
-
-    _atomic_write(train_path, writer(train))
-    _atomic_write(valid_path, writer(validation))
+    _write_lines(train_path, map(to_json_line, train))
+    _write_lines(valid_path, map(to_json_line, validation))
     payload = {
         "config": asdict(config),
         "ingest_errors": len(ingest_errors),
@@ -414,7 +375,7 @@ def _cmd_decode(config: RunConfig) -> int:
     decode_config = config.decode_config()
     requests: list[tuple[object, str]] = []
     bad_lines: list[dict] = []
-    for line_no, record, error in _read_jsonl(config.input, ("id", "prompt")):
+    for line_no, record, error in read_jsonl(config.input, ("id", "prompt")):
         if error is not None:
             bad_lines.append({"line": line_no, "error": error})
             continue
@@ -426,24 +387,16 @@ def _cmd_decode(config: RunConfig) -> int:
     )
     error_by_index = dict(decode_errors)
     config_echo = asdict(config)
-
-    def write(fh):
-        for entry in bad_lines:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
-        for i, ((request_id, _), result) in enumerate(zip(requests, results)):
-            if result is None:
-                record = {"id": request_id, "error": error_by_index[i]}
-            else:
-                record = {
-                    "id": request_id,
-                    "text": result.text,
-                    "score": result.score,
-                    "steps": result.steps,
-                    "config_echo": config_echo,
-                }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-    _atomic_write(config.output, write)
+    records = list(bad_lines)
+    for i, ((request_id, _), result) in enumerate(zip(requests, results)):
+        record = {"id": request_id}
+        if result is None:
+            record["error"] = error_by_index[i]
+        else:
+            record.update(text=result.text, score=result.score, steps=result.steps,
+                          config_echo=config_echo)
+        records.append(record)
+    _write_lines(config.output, (json.dumps(r, ensure_ascii=False) for r in records))
     _progress(
         f"decode: {len(requests)} prompts, {len(decode_errors)} failures, "
         f"{len(bad_lines)} bad lines in {time.monotonic() - started:.1f}s"
@@ -455,9 +408,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
     records = []
     outputs = []
     bad_lines: list[dict] = []
-    for line_no, record, error in _read_jsonl(
-        config.input, ("id", "candidate", "reference")
-    ):
+    for line_no, record, error in read_jsonl(config.input, ("id", "candidate", "reference")):
         if error is not None:
             bad_lines.append({"line": line_no, "error": error})
             continue
@@ -471,13 +422,9 @@ def _cmd_evaluate(config: RunConfig) -> int:
         records.append(scored)
         outputs.append({"id": record["id"], **scored.as_dict()})
 
-    def write(fh):
-        for entry in bad_lines:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
-        for entry in outputs:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
-
-    _atomic_write(config.output, write)
+    _write_lines(
+        config.output, (json.dumps(r, ensure_ascii=False) for r in bad_lines + outputs)
+    )
     payload: dict = {"config": asdict(config), "skipped": len(bad_lines)}
     if records:
         summary = aggregate(records)
@@ -491,9 +438,8 @@ def _cmd_evaluate(config: RunConfig) -> int:
 
 def _cmd_pipeline(config: RunConfig) -> int:
     started = time.monotonic()
-    articles, decisions, report, ingest_errors = _filter_pass(config)
-    kept = [a for a, d in zip(articles, decisions) if d is None]
-    _progress(f"pipeline: kept {len(kept)}/{len(articles)} articles")
+    kept, report, ingest_errors = _filter_pass(config)
+    _progress(f"pipeline: kept {len(kept)}/{report.total} articles")
     payload: dict = {
         "config": asdict(config),
         "ingest_errors": len(ingest_errors),
@@ -503,7 +449,7 @@ def _cmd_pipeline(config: RunConfig) -> int:
         payload.update(
             {"train_count": 0, "validation_count": 0, "decoded": 0, "evaluation": None}
         )
-        _atomic_write(config.output, lambda fh: fh.write(_dump(payload) + "\n"))
+        _write_lines(config.output, [_dump(payload)])
         print(_dump(payload))
         return 0
 
@@ -543,7 +489,7 @@ def _cmd_pipeline(config: RunConfig) -> int:
         _progress(payload["table"])
     else:
         payload["evaluation"] = None
-    _atomic_write(config.output, lambda fh: fh.write(_dump(payload) + "\n"))
+    _write_lines(config.output, [_dump(payload)])
     print(_dump(payload))
     _progress(f"pipeline: finished in {time.monotonic() - started:.1f}s")
     return 0

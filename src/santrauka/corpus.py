@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "longest_common_substring_len",
     "normalize_whitespace",
     "overlap_ratio",
+    "read_jsonl",
     "split_validation",
     "to_json_line",
 ]
@@ -83,9 +84,7 @@ class IngestError:
     message: str
 
 
-def _article_from_record(record: object) -> Article:
-    if not isinstance(record, dict):
-        raise ValueError("line is not a JSON object")
+def _article_from_record(record: dict) -> Article:
     unknown = set(record) - ARTICLE_KEYS
     if unknown:
         raise ValueError(f"unknown keys: {sorted(unknown)}")
@@ -122,6 +121,41 @@ def _article_from_record(record: object) -> Article:
     )
 
 
+def read_jsonl(
+    path, required: Sequence[str] = ()
+) -> Iterator[tuple[int, dict | None, str | None]]:
+    """Yield ``(line_no, record, error)`` for each non-blank line of a file.
+
+    A line that is not UTF-8, not a JSON object, or lacks ``required`` keys
+    gives a None record and an error; reading goes on. An unreadable file
+    raises the underlying OSError.
+    """
+    # undecodable bytes become lone surrogates, which never re-encode, so
+    # a bad byte fails its own line and leaves the newlines where they were
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")
+                record = json.loads(line)
+            except UnicodeEncodeError:
+                yield line_no, None, "invalid UTF-8"
+                continue
+            except json.JSONDecodeError as err:
+                yield line_no, None, f"invalid JSON: {err}"
+                continue
+            if not isinstance(record, dict):
+                yield line_no, None, "line is not a JSON object"
+                continue
+            missing = [key for key in required if key not in record]
+            if missing:
+                yield line_no, None, f"missing keys: {missing}"
+                continue
+            yield line_no, record, None
+
+
 def ingest(path, errors: list[IngestError] | None = None) -> Iterator[Article]:
     """Yield articles from a line-delimited JSON file, in file order.
 
@@ -129,22 +163,17 @@ def ingest(path, errors: list[IngestError] | None = None) -> Iterator[Article]:
     ``errors`` is a list, recorded there with its line number. Blank lines
     are ignored. An unreadable file raises the underlying OSError.
     """
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+    for line_no, record, message in read_jsonl(path):
+        if record is not None:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                if errors is not None:
-                    errors.append(IngestError(line_no, f"invalid JSON: {err}"))
-                continue
-            try:
-                yield _article_from_record(record)
+                article = _article_from_record(record)
             except ValueError as err:
-                if errors is not None:
-                    errors.append(IngestError(line_no, str(err)))
+                message = str(err)
+            else:
+                yield article
+                continue
+        if errors is not None:
+            errors.append(IngestError(line_no, message))
 
 
 def to_json_line(article: Article) -> str:

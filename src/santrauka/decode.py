@@ -21,12 +21,12 @@ together; every row is bit-identical to shaping that hypothesis alone.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from santrauka._pool import map_ordered
 from santrauka.lm import LanguageModel, softmax_rows
 from santrauka.tokenizer import TokenSequence, detokenize, token_ids
 
@@ -442,12 +442,7 @@ def batch_decode(
         (model, token_ids(p), replace(config, seed=config.seed + i))
         for i, p in enumerate(prompts)
     ]
-    if workers <= 1 or len(tasks) <= 1:
-        outcomes = [_decode_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 4))
-            outcomes = list(pool.map(_decode_task, tasks, chunksize=chunk))
+    outcomes = map_ordered(_decode_task, tasks, workers)
     results: list[DecodeResult | None] = []
     for i, (result, message) in enumerate(outcomes):
         results.append(result)

@@ -4,8 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from santrauka.cli import RunConfig, main, parse_args, render_args, run
+from santrauka.cli import COMMANDS, RunConfig, main, parse_args, render_args, run
+from santrauka.decode import METHODS
 from santrauka.lm import NGramModel
 
 
@@ -147,6 +150,101 @@ class TestConfigFilePrecedence:
         assert config.sample_within_beam is True
 
 
+    def write_config(self, tmp_path, text):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text, encoding="utf-8")
+        return ["filter", "--input", "i", "--output", "o", "--config", str(config_path)]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("workers", "2"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("beam_size", 2.0),
+            ("seed", None),
+            ("temperature", "1"),
+            ("temperature", False),
+            ("sample_within_beam", 1),
+            ("stemmer", 3),
+            ("input", ["i"]),
+        ],
+    )
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, key, value):
+        argv = self.write_config(tmp_path, json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert f"--config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [("temperature", 2, 2), ("top_k", None, None), ("vocab", None, None),
+         ("no_repeat_ngram_size", None, None), ("top_p", 0, None)],
+    )
+    def test_config_accepts_ints_for_floats_and_null_for_optionals(
+        self, tmp_path, key, value, expected
+    ):
+        config = parse_args(self.write_config(tmp_path, json.dumps({key: value})))
+        assert getattr(config, key) == expected
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--temperature", "nan"), ("--temperature", "inf"), ("--alpha", "nan"),
+         ("--min-ratio", "nan"), ("--alpha", "-inf")],
+    )
+    def test_flag_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["pipeline", "--input", "i", "--output", "o", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"{flag} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"temperature": NaN}', '{"alpha": Infinity}'])
+    def test_config_value_is_usage_error(self, tmp_path, text):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["pipeline", "--input", "i", "--output", "o",
+                        "--config", str(config_path)])
+        assert exc.value.code == 2
+
+
+def _text(min_size=0):
+    return st.text(min_size=min_size, max_size=12)
+
+
+_run_configs = st.builds(
+    RunConfig,
+    command=st.sampled_from(COMMANDS),
+    input=_text(1),
+    output=st.none() | _text(1),
+    model=st.none() | _text(1),
+    vocab=st.none() | _text(),
+    seed=st.integers(),
+    workers=st.integers(min_value=1),
+    method=st.sampled_from(METHODS),
+    beam_size=st.integers(min_value=1),
+    top_k=st.none() | st.integers(min_value=1),
+    top_p=st.none() | st.floats(min_value=0, max_value=1, exclude_min=True),
+    temperature=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    no_repeat_ngram_size=st.none() | st.integers(min_value=1),
+    max_length=st.integers(min_value=1),
+    sample_within_beam=st.booleans(),
+    ngram_order=st.integers(),
+    alpha=st.floats(allow_nan=False, allow_infinity=False),
+    n_validation=st.integers(min_value=0),
+    stemmer=_text(),
+    min_summary_chars=st.integers(min_value=0),
+    min_body_chars=st.integers(min_value=0),
+    min_ratio=st.floats(min_value=0, allow_infinity=False),
+    max_overlap_ratio=st.floats(min_value=0, max_value=1),
+).filter(
+    lambda c: (c.output or c.command == "stats") and (c.model or c.command != "decode")
+)
+
+
 class TestRenderRoundTrip:
     CONFIGS = [
         RunConfig(command="filter", input="a.jsonl", output="b.jsonl"),
@@ -161,6 +259,13 @@ class TestRenderRoundTrip:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.command)
     def test_round_trip(self, config):
+        assert parse_args(render_args(config)) == config
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_run_configs)
+    @example(config=RunConfig(command="filter", input="-a.jsonl", output="--o", seed=-3,
+                              stemmer="--x", alpha=-1.5))
+    def test_round_trip_property(self, config):
         assert parse_args(render_args(config)) == config
 
 
@@ -279,6 +384,21 @@ class TestTrainAndDecodeCommands:
         assert len(errors) == 2
         assert len(lines) == 3
 
+    def test_decode_invalid_utf8_line_is_a_line_error(self, tmp_path):
+        model_path = train_model_file(tmp_path)
+        input_path = tmp_path / "req.jsonl"
+        input_path.write_bytes(
+            b'{"id": 1, "prompt": "kalba"}\r\n'
+            b'{"id": 2, "prompt": "\xff"}\r\n'
+            b'{"id": 3, "prompt": "diena"}\n'
+        )
+        output_path = tmp_path / "res.jsonl"
+        assert main(["decode", "--input", str(input_path), "--model", str(model_path),
+                     "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == {"line": 2, "error": "invalid UTF-8"}
+        assert [l["id"] for l in lines[1:]] == [1, 3]
+
     def test_missing_model_fails_without_output(self, tmp_path):
         requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "x"}])
         output_path = tmp_path / "res.jsonl"
@@ -308,6 +428,22 @@ class TestEvaluateCommand:
         assert payload["summary"]["count"] == 2
         formatted = payload["summary"]["rouge1_f"]["formatted"]
         assert "(" in formatted and ")" in formatted
+
+    def test_invalid_utf8_line_is_skipped(self, tmp_path, capsys):
+        input_path = tmp_path / "pairs.jsonl"
+        input_path.write_bytes(
+            b'{"id": 1, "candidate": "a b", "reference": "a c"}\n'
+            b'{"id": 2, "candidate": "\xc5", "reference": "a"}\n'
+            b'{"id": 3, "candidate": "a", "reference": "a"}\n'
+        )
+        output_path = tmp_path / "scores.jsonl"
+        assert main(["evaluate", "--input", str(input_path), "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == {"line": 2, "error": "invalid UTF-8"}
+        assert [l["id"] for l in lines[1:]] == [1, 3]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["skipped"] == 1
+        assert payload["summary"]["count"] == 2
 
     def test_stemmer_flag(self, tmp_path, capsys):
         pairs = [{"id": 1, "candidate": "namas", "reference": "namo"}]

@@ -8,6 +8,7 @@ import pytest
 from santrauka.corpus import (
     Article,
     FilterConfig,
+    IngestError,
     REJECT_REASONS,
     corpus_stats,
     filter_article,
@@ -239,6 +240,25 @@ class TestIngest(object):
         errors = []
         assert list(ingest(path, errors)) == []
         assert len(errors) == 1
+
+    def test_invalid_utf8_is_a_line_error(self, tmp_path):
+        path = tmp_path / "articles.jsonl"
+        path.write_bytes(
+            b'{"source":"x","summary":"s","body":"b"}\r\n'
+            b'{"source":"\xff","summary":"s","body":"b"}\r\n'
+            b"\r\n"
+            b'{"source":"x\xc5\r'
+            b'{"source":"x","zz":1}\n'
+            b'{"source":"y","summary":"\xc5\xa1","body":"b"}\n'
+        )
+        errors = []
+        articles = list(ingest(path, errors))
+        assert [(a.source, a.summary) for a in articles] == [("x", "s"), ("y", "\u0161")]
+        assert errors == [
+            IngestError(2, "invalid UTF-8"),
+            IngestError(4, "invalid UTF-8"),
+            IngestError(5, "unknown keys: ['zz']"),
+        ]
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
