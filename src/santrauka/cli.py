@@ -97,17 +97,7 @@ class RunConfig:
     max_overlap_ratio: float = _option(0.2)
 
     def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            method=self.method,
-            beam_size=self.beam_size,
-            top_k=self.top_k,
-            top_p=self.top_p,
-            temperature=self.temperature,
-            no_repeat_ngram_size=self.no_repeat_ngram_size,
-            max_length=self.max_length,
-            seed=self.seed,
-            sample_within_beam=self.sample_within_beam,
-        )
+        return DecodeConfig(**{f.name: getattr(self, f.name) for f in fields(DecodeConfig)})
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -277,17 +267,25 @@ def _write_lines(path: str, lines) -> None:
     _atomic_write(path, lambda fh: fh.writelines(line + "\n" for line in lines))
 
 
+def _ingest(config: RunConfig) -> tuple[list, list]:
+    """The articles of --input and the errors of its malformed lines."""
+    ingest_errors: list = []
+    return list(ingest(config.input, ingest_errors)), ingest_errors
+
+
+def _header(config: RunConfig, ingest_errors: list) -> dict:
+    """The first keys of every report over an ingested corpus."""
+    return {"config": asdict(config), "ingest_errors": len(ingest_errors)}
+
+
 def _filter_report(config: RunConfig, report, ingest_errors: list) -> str:
     """The JSON report of filter, and of stats with --output."""
-    return _dump(
-        {"config": asdict(config), "ingest_errors": len(ingest_errors), "report": report.as_dict()}
-    )
+    return _dump({**_header(config, ingest_errors), "report": report.as_dict()})
 
 
 def _filter_pass(config: RunConfig):
     """Kept articles, the filter report, and the ingest errors."""
-    ingest_errors: list = []
-    articles = list(ingest(config.input, ingest_errors))
+    articles, ingest_errors = _ingest(config)
     keep = partial(filter_article, config=config.filter_config())
     decisions = map_ordered(keep, articles, config.workers)
     report = corpus_stats(zip(articles, decisions))
@@ -315,21 +313,15 @@ def _cmd_stats(config: RunConfig) -> int:
     return 0
 
 
-def _split_paths(output: str) -> tuple[str, str]:
-    base = output[: -len(".jsonl")] if output.endswith(".jsonl") else output
-    return f"{base}.train.jsonl", f"{base}.valid.jsonl"
-
-
 def _cmd_split(config: RunConfig) -> int:
-    ingest_errors: list = []
-    articles = list(ingest(config.input, ingest_errors))
+    articles, ingest_errors = _ingest(config)
     train, validation = split_validation(articles, config.n_validation, config.seed)
-    train_path, valid_path = _split_paths(config.output)
+    base = config.output.removesuffix(".jsonl")
+    train_path, valid_path = f"{base}.train.jsonl", f"{base}.valid.jsonl"
     _write_lines(train_path, map(to_json_line, train))
     _write_lines(valid_path, map(to_json_line, validation))
     payload = {
-        "config": asdict(config),
-        "ingest_errors": len(ingest_errors),
+        **_header(config, ingest_errors),
         "train": {"path": train_path, "count": len(train)},
         "validation": {"path": valid_path, "count": len(validation)},
     }
@@ -337,29 +329,21 @@ def _cmd_split(config: RunConfig) -> int:
     return 0
 
 
-def _load_or_derive_vocab(config: RunConfig, texts: list[str]) -> Vocabulary:
-    if config.vocab:
-        return Vocabulary.load(config.vocab)
-    return char_vocabulary(texts)
-
-
 def _train_model(config: RunConfig, texts: list[str]) -> NGramModel:
-    vocab = _load_or_derive_vocab(config, texts)
+    vocab = Vocabulary.load(config.vocab) if config.vocab else char_vocabulary(texts)
     streams = [viterbi_segment(text, vocab) for text in texts]
     return train_ngram(streams, config.ngram_order, config.alpha, vocab)
 
 
 def _cmd_train_lm(config: RunConfig) -> int:
     started = time.monotonic()
-    ingest_errors: list = []
-    articles = list(ingest(config.input, ingest_errors))
+    articles, ingest_errors = _ingest(config)
     texts = [article.summary for article in articles]
     model = _train_model(config, texts)
     blob = json.dumps(model.to_dict(), ensure_ascii=False)
     _atomic_write(config.output, lambda fh: fh.write(blob))
     payload = {
-        "config": asdict(config),
-        "ingest_errors": len(ingest_errors),
+        **_header(config, ingest_errors),
         "sequences": len(texts),
         "vocab_size": len(model.vocab),
         "contexts": len(model.counts),
@@ -369,36 +353,73 @@ def _cmd_train_lm(config: RunConfig) -> int:
     return 0
 
 
+def _decode(
+    config: RunConfig, model: NGramModel, texts: list[str], limit: int | None = None
+) -> tuple[list, dict[int, str]]:
+    """Decode the first ``limit`` ids of each segmented text; the results in
+    text order, None where one failed, and the message of each failed index.
+
+    A text that cannot be segmented fails alone and, like a malformed
+    request line, takes no seed.
+    """
+    errors: dict[int, str] = {}
+    prompts: dict[int, tuple] = {}
+    for i, text in enumerate(texts):
+        try:
+            prompts[i] = viterbi_segment(text, model.vocab).ids[:limit]
+        except ValueError as err:
+            errors[i] = f"ValueError: {err}"
+    slots, failed = list(prompts), []
+    decoded = batch_decode(model, list(prompts.values()), config.decode_config(),
+                           workers=config.workers, errors=failed)
+    errors.update((slots[j], message) for j, message in failed)
+    results = dict(zip(slots, decoded))
+    return [results.get(i) for i in range(len(texts))], errors
+
+
+def _summary(config: RunConfig, scored: list) -> tuple[dict | None, str | None]:
+    """The aggregate of the scored pairs and its table, which also goes to
+    stderr; (None, None) when nothing was scored."""
+    if not scored:
+        return None, None
+    summary = aggregate(scored)
+    table = render_table({config.method: summary})
+    _progress(table)
+    return summary.as_dict(), table
+
+
+def _read_requests(config: RunConfig, keys: tuple[str, ...]):
+    """Yield ``(line_no, record, bad)`` per line of --input; a line that is
+    malformed, lacks "id" or a key, or holds a non-string under a key has a
+    None record and its ``{"line", "error"}`` entry as ``bad``."""
+    for line_no, record, error in read_jsonl(config.input, ("id", *keys)):
+        wrong = [key for key in keys if error is None and not isinstance(record[key], str)]
+        if wrong:
+            error = f"key {wrong[0]!r} must be a string"
+        bad = None if error is None else {"line": line_no, "error": error}
+        yield line_no, None if bad else record, bad
+
+
 def _cmd_decode(config: RunConfig) -> int:
     started = time.monotonic()
     model = NGramModel.load(config.model)
-    decode_config = config.decode_config()
-    requests: list[tuple[object, str]] = []
-    bad_lines: list[dict] = []
-    for line_no, record, error in read_jsonl(config.input, ("id", "prompt")):
-        if error is not None:
-            bad_lines.append({"line": line_no, "error": error})
-            continue
-        requests.append((record["id"], str(record["prompt"])))
-    prompts = [viterbi_segment(prompt, model.vocab) for _, prompt in requests]
-    decode_errors: list[tuple[int, str]] = []
-    results = batch_decode(
-        model, prompts, decode_config, workers=config.workers, errors=decode_errors
-    )
-    error_by_index = dict(decode_errors)
+    lines = list(_read_requests(config, ("prompt",)))
+    requests = [record for _, record, bad in lines if bad is None]
+    bad_lines = [bad for _, _, bad in lines if bad is not None]
+    results, errors = _decode(config, model, [r["prompt"] for r in requests])
     config_echo = asdict(config)
     records = list(bad_lines)
-    for i, ((request_id, _), result) in enumerate(zip(requests, results)):
-        record = {"id": request_id}
+    for i, (request, result) in enumerate(zip(requests, results)):
+        record = {"id": request["id"]}
         if result is None:
-            record["error"] = error_by_index[i]
+            record["error"] = errors[i]
         else:
             record.update(text=result.text, score=result.score, steps=result.steps,
                           config_echo=config_echo)
         records.append(record)
     _write_lines(config.output, (json.dumps(r, ensure_ascii=False) for r in records))
     _progress(
-        f"decode: {len(requests)} prompts, {len(decode_errors)} failures, "
+        f"decode: {len(requests)} prompts, {len(errors)} failures, "
         f"{len(bad_lines)} bad lines in {time.monotonic() - started:.1f}s"
     )
     return 0
@@ -408,13 +429,13 @@ def _cmd_evaluate(config: RunConfig) -> int:
     records = []
     outputs = []
     bad_lines: list[dict] = []
-    for line_no, record, error in read_jsonl(config.input, ("id", "candidate", "reference")):
-        if error is not None:
-            bad_lines.append({"line": line_no, "error": error})
+    for line_no, record, bad in _read_requests(config, ("candidate", "reference")):
+        if bad is not None:
+            bad_lines.append(bad)
             continue
         try:
             scored = evaluate_pair(
-                str(record["candidate"]), str(record["reference"]), stemmer=config.stemmer
+                record["candidate"], record["reference"], stemmer=config.stemmer
             )
         except ValueError as err:
             bad_lines.append({"line": line_no, "error": str(err)})
@@ -425,14 +446,8 @@ def _cmd_evaluate(config: RunConfig) -> int:
     _write_lines(
         config.output, (json.dumps(r, ensure_ascii=False) for r in bad_lines + outputs)
     )
-    payload: dict = {"config": asdict(config), "skipped": len(bad_lines)}
-    if records:
-        summary = aggregate(records)
-        payload["summary"] = summary.as_dict()
-        _progress(render_table({config.method: summary}))
-    else:
-        payload["summary"] = None
-    print(_dump(payload))
+    summary, _ = _summary(config, records)
+    print(_dump({"config": asdict(config), "skipped": len(bad_lines), "summary": summary}))
     return 0
 
 
@@ -440,15 +455,9 @@ def _cmd_pipeline(config: RunConfig) -> int:
     started = time.monotonic()
     kept, report, ingest_errors = _filter_pass(config)
     _progress(f"pipeline: kept {len(kept)}/{report.total} articles")
-    payload: dict = {
-        "config": asdict(config),
-        "ingest_errors": len(ingest_errors),
-        "filter_report": report.as_dict(),
-    }
+    payload: dict = {**_header(config, ingest_errors), "filter_report": report.as_dict()}
     if not kept:
-        payload.update(
-            {"train_count": 0, "validation_count": 0, "decoded": 0, "evaluation": None}
-        )
+        payload.update(train_count=0, validation_count=0, decoded=0, evaluation=None)
         _write_lines(config.output, [_dump(payload)])
         print(_dump(payload))
         return 0
@@ -461,34 +470,19 @@ def _cmd_pipeline(config: RunConfig) -> int:
         f"pipeline: trained order-{config.ngram_order} model on {len(train)} summaries"
     )
 
-    prompts = [
-        viterbi_segment(article.body, model.vocab).ids[:PIPELINE_PROMPT_TOKENS]
-        for article in validation
-    ]
-    decode_errors: list[tuple[int, str]] = []
-    results = batch_decode(
-        model, prompts, config.decode_config(), workers=config.workers, errors=decode_errors
+    results, errors = _decode(
+        config, model, [article.body for article in validation], PIPELINE_PROMPT_TOKENS
     )
     scored = [
         evaluate_pair(result.text, article.summary, stemmer=config.stemmer)
         for result, article in zip(results, validation)
         if result is not None
     ]
-    payload.update(
-        {
-            "train_count": len(train),
-            "validation_count": len(validation),
-            "decoded": len(scored),
-            "decode_errors": len(decode_errors),
-        }
-    )
-    if scored:
-        summary = aggregate(scored)
-        payload["evaluation"] = summary.as_dict()
-        payload["table"] = render_table({config.method: summary})
-        _progress(payload["table"])
-    else:
-        payload["evaluation"] = None
+    payload.update(train_count=len(train), validation_count=len(validation),
+                   decoded=len(scored), decode_errors=len(errors))
+    payload["evaluation"], table = _summary(config, scored)
+    if table is not None:
+        payload["table"] = table
     _write_lines(config.output, [_dump(payload)])
     print(_dump(payload))
     _progress(f"pipeline: finished in {time.monotonic() - started:.1f}s")

@@ -12,17 +12,18 @@ Ties anywhere resolve toward the lower token id, which makes every
 decoder deterministic. Sampling draws from numpy's seeded PCG64 stream
 through inverse-CDF lookup, so outputs are reproducible bit for bit.
 
-All three decoders run one search loop: greedy and sampling keep one
-hypothesis, beam search keeps ``beam_size``. Each step scores every live
-hypothesis with one ``next_logits_batch`` call and shapes the rows
-together; every row is bit-identical to shaping that hypothesis alone.
+``DecodeConfig.method`` selects the search, and all three run one loop:
+greedy and sampling keep one hypothesis, beam search keeps ``beam_size``.
+Each step scores every live hypothesis with one ``next_logits_batch``
+call and shapes the rows together; every row is bit-identical to shaping
+that hypothesis alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class DecodeConfig:
             raise ValueError("beam_size must be at least 1")
         if self.max_length < 1:
             raise ValueError("max_length must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.top_k is not None and self.top_k < 1:
@@ -245,29 +248,6 @@ def _step(
     return dist
 
 
-def _result(
-    model: LanguageModel, generated: tuple[int, ...], score: float
-) -> DecodeResult:
-    vocab = model.vocab
-    surface = tuple(t for t in generated if not vocab.is_special(t))
-    text = detokenize(TokenSequence(surface, vocab))
-    return DecodeResult(
-        tokens=TokenSequence(generated, vocab),
-        text=text,
-        score=score,
-        steps=len(generated),
-    )
-
-
-def _prompt_finished(model: LanguageModel, prompt_ids: tuple[int, ...]) -> bool:
-    return bool(prompt_ids) and prompt_ids[-1] == model.vocab.eos_id
-
-
-#: Chooses the successors of each live hypothesis: (step distributions,
-#: width) -> a list of ids per row, possibly empty.
-_Picker = Callable[[np.ndarray, int], list[list[int]]]
-
-
 def _best_successors(dist: np.ndarray, width: int) -> list[list[int]]:
     if width == 1:
         # argmax also takes the lowest id among ties, at a fraction of the
@@ -299,27 +279,26 @@ def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _search(
-    model: LanguageModel,
-    prompt,
-    config: DecodeConfig,
-    width: int,
-    pick: _Picker,
-    sampling: bool,
-) -> tuple[Hypothesis, list[Hypothesis]]:
-    """Search with ``width`` live hypotheses; the best and the sorted pool.
+    model: LanguageModel, prompt, config: DecodeConfig
+) -> tuple[DecodeResult, list[Hypothesis]]:
+    """Search as ``config.method`` selects; the best result and the sorted pool.
 
     Each step scores every live hypothesis with one batched model call,
-    extends each by the ids ``pick`` chooses, and keeps the ``width``
-    best unfinished candidates. Ordering is by score, then by
-    lexicographically smaller ids.
+    extends each by its most probable ids, or by seeded draws on sampling
+    paths, and keeps the ``width`` best unfinished candidates. Ordering is
+    by score, then by lexicographically smaller ids.
     """
+    beam = config.method == "beam"
+    width = config.beam_size if beam else 1
+    sampling = config.method == "sample" or (beam and config.sample_within_beam)
+    rng = np.random.default_rng(config.seed) if sampling else None
     prompt_ids = token_ids(prompt)
     start = len(prompt_ids)
     eos = model.vocab.eos_id
     n = config.no_repeat_ngram_size
     finished: list[Hypothesis] = []
     best_finished = -math.inf
-    if _prompt_finished(model, prompt_ids):
+    if prompt_ids and prompt_ids[-1] == eos:
         finished.append(Hypothesis((), 0.0, True))
         live: list[_Live] = []
     else:
@@ -328,11 +307,17 @@ def _search(
         if not live:
             break
         dist = _step(model, live, length, config, sampling)
+        if not sampling:
+            picks = _best_successors(dist, width)
+        elif beam:
+            picks = [_sampled_successors(row, width, rng) for row in dist]
+        else:
+            picks = [[_sample_index(row, rng)] for row in dist]
         # live prefixes share one length, so (parent prefix, token) orders
         # as the candidate's ids would, without building them
         candidates = sorted(
             (-(hyp.log_prob + math.log(row[token])), hyp.prefix, token, i)
-            for i, (hyp, row, tokens) in enumerate(zip(live, dist.tolist(), pick(dist, width)))
+            for i, (hyp, row, tokens) in enumerate(zip(live, dist.tolist(), picks))
             for token in tokens
         )
         parents, live = live, []
@@ -355,13 +340,17 @@ def _search(
     # anything still alive ran out of budget and counts as finished
     finished.extend(Hypothesis(h.prefix[start:], h.log_prob, True) for h in live)
     finished.sort(key=lambda h: (-h.log_prob, h.ids))
-    return finished[0], finished
+    best, vocab = finished[0], model.vocab
+    surface = tuple(t for t in best.ids if not vocab.is_special(t))
+    result = DecodeResult(tokens=TokenSequence(best.ids, vocab),
+                          text=detokenize(TokenSequence(surface, vocab)),
+                          score=best.log_prob, steps=len(best.ids))
+    return result, finished
 
 
 def greedy_decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
     """Follow the argmax of each step's shaped distribution until eos."""
-    best, _ = _search(model, prompt, config, 1, _best_successors, sampling=False)
-    return _result(model, best.ids, best.log_prob)
+    return _search(model, prompt, replace(config, method="greedy"))[0]
 
 
 def beam_search(
@@ -379,40 +368,18 @@ def beam_search(
     the finished pool collected up to the stop is returned alongside the
     best result, sorted, the winner first.
     """
-    if config.sample_within_beam:
-        rng = np.random.default_rng(config.seed)
-
-        def pick(dist: np.ndarray, width: int) -> list[list[int]]:
-            return [_sampled_successors(row, width, rng) for row in dist]
-    else:
-        pick = _best_successors
-    best, finished = _search(
-        model, prompt, config, config.beam_size, pick, config.sample_within_beam
-    )
-    result = _result(model, best.ids, best.log_prob)
-    if return_all:
-        return result, finished
-    return result
+    result, finished = _search(model, prompt, replace(config, method="beam"))
+    return (result, finished) if return_all else result
 
 
 def sample_decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
     """Draw each token from the shaped distribution, seeded and repeatable."""
-    rng = np.random.default_rng(config.seed)
-
-    def pick(dist: np.ndarray, width: int) -> list[list[int]]:
-        return [[_sample_index(row, rng)] for row in dist]
-
-    best, _ = _search(model, prompt, config, 1, pick, sampling=True)
-    return _result(model, best.ids, best.log_prob)
+    return _search(model, prompt, replace(config, method="sample"))[0]
 
 
 def decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
-    """Dispatch to the decoder selected by ``config.method``."""
-    if config.method == "greedy":
-        return greedy_decode(model, prompt, config)
-    if config.method == "beam":
-        return beam_search(model, prompt, config)
-    return sample_decode(model, prompt, config)
+    """Decode with the search ``config.method`` selects."""
+    return _search(model, prompt, config)[0]
 
 
 def _decode_task(task) -> tuple[DecodeResult | None, str | None]:

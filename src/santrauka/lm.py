@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
@@ -223,20 +224,35 @@ class NGramModel(LanguageModel):
 
     @classmethod
     def from_dict(cls, payload: dict, vocab: Vocabulary | None = None) -> "NGramModel":
+        """The model of a :meth:`to_dict` payload; a payload of another shape
+        raises ValueError naming the key, or KeyError for a missing one."""
+        if not isinstance(payload, dict):
+            raise ValueError("model payload must be a JSON object")
         version = payload.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
+        order, alpha, counts = payload["order"], payload["alpha"], payload["counts"]
+        if type(order) is not int:
+            raise ValueError("key 'order' must be an integer")
+        # rejects bool, NaN, the infinities and ints too large for a float
+        if type(alpha) not in (int, float) or not abs(alpha) <= sys.float_info.max:
+            raise ValueError("key 'alpha' must be a finite number")
+        if not isinstance(counts, dict) or not all(
+            isinstance(bucket, dict) and all(type(c) is int for c in bucket.values())
+            for bucket in counts.values()
+        ):
+            raise ValueError("key 'counts' must map contexts to objects of integer counts")
         if vocab is None:
             vocab = Vocabulary.from_dict(payload["vocab"])
         if vocab.content_hash() != payload["vocab_hash"]:
             raise ValueError("vocabulary hash mismatch: model was trained on a different vocabulary")
         counts = {
             tuple(int(x) for x in ctx.split()) if ctx else (): {
-                int(t): int(c) for t, c in bucket.items()
+                int(t): c for t, c in bucket.items()
             }
-            for ctx, bucket in payload["counts"].items()
+            for ctx, bucket in counts.items()
         }
-        return cls(vocab, payload["order"], payload["alpha"], counts)
+        return cls(vocab, order, alpha, counts)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

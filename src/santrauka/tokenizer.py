@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -194,10 +195,27 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Vocabulary":
+        """The vocabulary of a :meth:`to_dict` payload; a payload of another
+        shape raises ValueError naming the key, or KeyError for a missing one."""
+        if not isinstance(payload, dict):
+            raise ValueError("vocabulary payload must be a JSON object")
+        tokens, log_probs = payload["tokens"], payload["log_probs"]
         specials = payload.get("specials", {})
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError("key 'tokens' must be a list of strings")
+        # a float or an int a float holds; the constructor checks the values
+        if not isinstance(log_probs, list) or not all(
+            type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
+            for x in log_probs
+        ):
+            raise ValueError("key 'log_probs' must be a list of numbers")
+        if not isinstance(specials, dict) or not all(
+            name is None or isinstance(name, str) for name in specials.values()
+        ):
+            raise ValueError("key 'specials' must map roles to token strings or null")
         return cls(
-            payload["tokens"],
-            payload["log_probs"],
+            tokens,
+            log_probs,
             eos=specials.get("eos"),
             unk=specials.get("unk"),
             pad=specials.get("pad"),
@@ -238,15 +256,9 @@ class Vocabulary:
                     raise ValueError(f"line {line_no}: expected token<TAB>log_prob")
                 tokens.append(token)
                 log_probs.append(float(lp))
-        if declared is not None:
-            eos = declared.get("eos")
-            unk = declared.get("unk")
-            pad = declared.get("pad")
-        else:
-            eos = RESERVED_SPECIALS["eos"] if RESERVED_SPECIALS["eos"] in tokens else None
-            unk = RESERVED_SPECIALS["unk"] if RESERVED_SPECIALS["unk"] in tokens else None
-            pad = RESERVED_SPECIALS["pad"] if RESERVED_SPECIALS["pad"] in tokens else None
-        return cls(tokens, log_probs, eos=eos, unk=unk, pad=pad)
+        if declared is None:
+            declared = {role: name for role, name in RESERVED_SPECIALS.items() if name in tokens}
+        return cls.from_dict({"tokens": tokens, "log_probs": log_probs, "specials": declared})
 
 
 @dataclass(frozen=True)

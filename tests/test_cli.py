@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from santrauka.cli import COMMANDS, RunConfig, main, parse_args, render_args, run
 from santrauka.decode import METHODS
 from santrauka.lm import NGramModel
+from santrauka.tokenizer import Vocabulary
 
 
 def write_jsonl(path, records):
@@ -114,6 +116,17 @@ class TestParseArgs:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             parse_args(["transmogrify"])
+
+    @pytest.mark.parametrize("argv", [
+        ["decode", "--input", "i", "--output", "o", "--model", "m", "--method", "sample",
+         "--seed=-1"],
+        ["split", "--input", "i", "--output", "o", "--seed=-1"],
+    ], ids=["decode", "split"])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 class TestConfigFilePrecedence:
@@ -222,7 +235,7 @@ _run_configs = st.builds(
     output=st.none() | _text(1),
     model=st.none() | _text(1),
     vocab=st.none() | _text(),
-    seed=st.integers(),
+    seed=st.integers(min_value=0),
     workers=st.integers(min_value=1),
     method=st.sampled_from(METHODS),
     beam_size=st.integers(min_value=1),
@@ -263,7 +276,7 @@ class TestRenderRoundTrip:
 
     @settings(max_examples=200, deadline=None)
     @given(config=_run_configs)
-    @example(config=RunConfig(command="filter", input="-a.jsonl", output="--o", seed=-3,
+    @example(config=RunConfig(command="filter", input="-a.jsonl", output="--o",
                               stemmer="--x", alpha=-1.5))
     def test_round_trip_property(self, config):
         assert parse_args(render_args(config)) == config
@@ -339,13 +352,23 @@ class TestSplitCommand:
         assert code == 1
 
 
-def train_model_file(tmp_path):
+def train_model_file(tmp_path, vocab=None):
     input_path = write_jsonl(tmp_path / "train.jsonl", synthetic_articles(20))
     model_path = tmp_path / "model.json"
     code = main(["train-lm", "--input", input_path, "--output", str(model_path),
-                 "--ngram-order", "3", "--alpha", "1.0"])
+                 "--ngram-order", "3", "--alpha", "1.0",
+                 *(["--vocab", str(vocab)] if vocab else [])])
     assert code == 0
     return model_path
+
+
+def summary_vocab_file(tmp_path):
+    """A vocabulary of the summary letters of synthetic_articles, without unk,
+    so body text and other letters cannot be segmented."""
+    letters = sorted(set("deima gale kalba diena miela balta"))
+    path = tmp_path / "summary.vocab"
+    Vocabulary(letters + ["<eos>"], [-1.0] * len(letters) + [0.0], eos="<eos>").save(path)
+    return path
 
 
 class TestTrainAndDecodeCommands:
@@ -399,6 +422,31 @@ class TestTrainAndDecodeCommands:
         assert lines[0] == {"line": 2, "error": "invalid UTF-8"}
         assert [l["id"] for l in lines[1:]] == [1, 3]
 
+    def test_unsegmentable_prompt_fails_alone(self, tmp_path):
+        model_path = train_model_file(tmp_path, vocab=summary_vocab_file(tmp_path))
+        requests = [{"id": 1, "prompt": "kalba"}, {"id": 2, "prompt": "kalba ž"},
+                    {"id": 3, "prompt": "diena"}]
+        input_path = write_jsonl(tmp_path / "req.jsonl", requests)
+        output_path = tmp_path / "res.jsonl"
+        assert main(["decode", "--input", input_path, "--model", str(model_path),
+                     "--output", str(output_path), "--max-length", "10"]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert [l["id"] for l in lines] == [1, 2, 3]
+        assert lines[1] == {"id": 2, "error": "ValueError: text cannot be segmented: "
+                            "uncovered characters and no unk token defined"}
+        assert "text" in lines[0] and "text" in lines[2]
+
+    def test_non_string_prompt_is_a_line_error(self, tmp_path):
+        model_path = train_model_file(tmp_path)
+        input_path = write_jsonl(tmp_path / "req.jsonl",
+                                 [{"id": 1, "prompt": "kalba"}, {"id": 99, "prompt": 5}])
+        output_path = tmp_path / "res.jsonl"
+        assert main(["decode", "--input", input_path, "--model", str(model_path),
+                     "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == {"line": 2, "error": "key 'prompt' must be a string"}
+        assert [l["id"] for l in lines[1:]] == [1]
+
     def test_missing_model_fails_without_output(self, tmp_path):
         requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "x"}])
         output_path = tmp_path / "res.jsonl"
@@ -445,6 +493,21 @@ class TestEvaluateCommand:
         assert payload["skipped"] == 1
         assert payload["summary"]["count"] == 2
 
+    def test_non_string_candidate_is_a_line_error(self, tmp_path, capsys):
+        pairs = [{"id": 1, "candidate": None, "reference": "None"},
+                 {"id": 2, "candidate": "a", "reference": 7},
+                 {"id": 3, "candidate": "a b", "reference": "a b"}]
+        input_path = write_jsonl(tmp_path / "pairs.jsonl", pairs)
+        output_path = tmp_path / "scores.jsonl"
+        assert main(["evaluate", "--input", input_path, "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[:2] == [{"line": 1, "error": "key 'candidate' must be a string"},
+                             {"line": 2, "error": "key 'reference' must be a string"}]
+        assert [l["id"] for l in lines[2:]] == [3]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["skipped"] == 2
+        assert payload["summary"]["count"] == 1
+
     def test_stemmer_flag(self, tmp_path, capsys):
         pairs = [{"id": 1, "candidate": "namas", "reference": "namo"}]
         input_path = write_jsonl(tmp_path / "pairs.jsonl", pairs)
@@ -479,6 +542,19 @@ class TestPipelineCommand:
         assert main(argv) == 0
         assert report_path.read_bytes() == first_bytes
 
+    def test_unsegmentable_prompts_are_decode_errors(self, tmp_path):
+        input_path = write_jsonl(tmp_path / "corpus.jsonl", synthetic_articles(30, seed=2))
+        report_path = tmp_path / "report.json"
+        code = main(["pipeline", "--input", input_path, "--output", str(report_path),
+                     "--n-validation", "5", "--ngram-order", "2",
+                     "--vocab", str(summary_vocab_file(tmp_path))])
+        assert code == 0
+        payload = json.loads(report_path.read_text(encoding="utf-8"))
+        assert payload["validation_count"] == 5
+        assert payload["decode_errors"] == 5
+        assert payload["decoded"] == 0
+        assert payload["evaluation"] is None
+
     def test_empty_corpus_is_a_zero_report(self, tmp_path):
         input_path = tmp_path / "empty.jsonl"
         input_path.write_text("", encoding="utf-8")
@@ -498,22 +574,53 @@ class TestRunErrors:
         assert run(config) == 1
 
 
+def _set_count(token):
+    def tamper(payload):
+        payload["counts"][next(iter(payload["counts"]))][token] = 3
+        return payload
+    return tamper
+
+
+def _set(key, value, part=None):
+    """A tamper that sets ``key`` of the payload, or of its ``part`` object."""
+    def tamper(payload):
+        (payload if part is None else payload[part])[key] = value
+        return payload
+    return tamper
+
+
 class TestTamperedModel:
-    @pytest.mark.parametrize("token", ["-1", "99"])
-    def test_decode_reports_a_data_error(self, tmp_path, capsys, token):
+    @pytest.mark.parametrize("tamper, message", [
+        pytest.param(_set_count("-1"), r"context .*: token ids must lie in", id="-1"),
+        pytest.param(_set_count("99"), r"context .*: token ids must lie in", id="99"),
+        pytest.param(_set("order", "3"), "key 'order' must be an integer", id="order-str"),
+        pytest.param(_set("order", True), "key 'order' must be an integer", id="order-bool"),
+        pytest.param(_set("alpha", "x"), "key 'alpha' must be a finite number", id="alpha-str"),
+        pytest.param(_set("counts", []), "key 'counts' must map contexts", id="counts-list"),
+        pytest.param(_set("0 0", [], "counts"), "key 'counts' must map contexts",
+                     id="bucket-list"),
+        pytest.param(lambda p: [p], "model payload must be a JSON object", id="payload-list"),
+        pytest.param(_set("vocab", []), "vocabulary payload must be a JSON object",
+                     id="vocab-list"),
+        pytest.param(_set("tokens", "abc", "vocab"), "key 'tokens' must be a list of strings",
+                     id="vocab-tokens-str"),
+        pytest.param(_set("log_probs", [None], "vocab"), "key 'log_probs' must be a list",
+                     id="vocab-log-probs-null"),
+        pytest.param(_set("specials", {"eos": ["x"]}, "vocab"),
+                     "key 'specials' must map roles", id="vocab-specials-list"),
+    ])
+    def test_decode_reports_a_data_error(self, tmp_path, capsys, tamper, message):
         payload = json.loads(train_model_file(tmp_path).read_text(encoding="utf-8"))
-        context = next(iter(payload["counts"]))
-        payload["counts"][context][token] = 3
         model_path = tmp_path / "tampered.json"
-        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        model_path.write_text(json.dumps(tamper(payload)), encoding="utf-8")
         requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "kalba"}])
         output_path = tmp_path / "res.jsonl"
         code = main(["decode", "--input", requests, "--model", str(model_path),
                      "--output", str(output_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: data: context" in err
-        assert "token ids must lie in" in err
+        assert re.search("error: data: " + message, err), err
+        assert "Traceback" not in err
         assert not output_path.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -403,6 +404,23 @@ class TestDecodeDispatch:
             config = DecodeConfig(method=method, beam_size=2, seed=3, max_length=7)
             result = decode(model, (), config)
             assert result.steps <= 7
+
+    def test_public_decoders_ignore_config_method(self):
+        rng = np.random.default_rng(97)
+        model = random_ngram_model(rng, real_tokens=4, order=2, alpha=1.0)
+        config = DecodeConfig(beam_size=3, top_k=3, seed=5, max_length=8,
+                              sample_within_beam=True)
+        for method in ("greedy", "beam", "sample"):
+            other = replace(config, method=method)
+            assert greedy_decode(model, (), other) == decode(
+                model, (), replace(config, method="greedy"))
+            assert beam_search(model, (), other) == decode(
+                model, (), replace(config, method="beam"))
+            assert sample_decode(model, (), other) == decode(
+                model, (), replace(config, method="sample"))
+        greedy = DecodeConfig(method="greedy", max_length=4)
+        assert greedy_decode(model, (), replace(greedy, method="beam", beam_size=5)) == decode(
+            model, (), greedy)
 
     def test_text_strips_special_tokens(self):
         model = greedy_trap_model()

@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from santrauka.lm import (
     BEGIN,
@@ -317,6 +320,20 @@ TAMPERED_COUNTS = [
 ]
 
 
+#: Any value ``json.loads`` can return, NaN and the infinities included.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+_PAYLOAD = ab_model(alpha=0.5).to_dict()
+
+#: Each top-level key of a model payload, and of its vocabulary payload.
+_PAYLOAD_KEYS = [(key,) for key in _PAYLOAD] + [("vocab", key) for key in _PAYLOAD["vocab"]]
+
+
 class TestModelValidation:
     @pytest.mark.parametrize(
         "tamper, message",
@@ -327,6 +344,22 @@ class TestModelValidation:
         path = tampered_model_file(tmp_path, tamper)
         with pytest.raises(ValueError, match=message):
             NGramModel.load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(_PAYLOAD_KEYS), value=_json_values)
+    @example(path=("order",), value="3")
+    @example(path=("alpha",), value=10**400)
+    @example(path=("counts",), value={"0": [1]})
+    @example(path=("vocab", "log_probs"), value=[-(10**400), 0.0, 0.0])
+    @example(path=("vocab", "specials"), value={"eos": {}})
+    def test_from_dict_raises_only_value_or_key_errors(self, path, value):
+        payload = copy.deepcopy(_PAYLOAD)
+        parent = payload["vocab"] if len(path) == 2 else payload
+        parent[path[-1]] = value
+        try:
+            NGramModel.from_dict(payload)
+        except (ValueError, KeyError):
+            pass
 
     def test_constructor_rejects_out_of_range_ids(self):
         vocab = ab_vocab()

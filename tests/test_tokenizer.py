@@ -147,6 +147,12 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary.load(path)
 
+    def test_load_header_with_a_non_string_special_fails(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text('{"eos": ["</s>"]}\n</s>\t0.0\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="key 'specials'"):
+            Vocabulary.load(path)
+
     def test_hash_tracks_content(self):
         one = simple_vocab({"a": -1.0})
         two = simple_vocab({"a": -1.5})
