@@ -45,8 +45,6 @@ from santrauka.tokenizer import Vocabulary, char_vocabulary, viterbi_segment
 
 __all__ = ["RunConfig", "main", "parse_args", "render_args", "run"]
 
-COMMANDS = ("filter", "stats", "split", "train-lm", "decode", "evaluate", "pipeline")
-
 #: Tokens of the article body used to prompt the model in the pipeline.
 PIPELINE_PROMPT_TOKENS = 64
 
@@ -140,17 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "values, then explicit flags.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    help_by_command = {
-        "filter": "apply keep/reject rules to an article corpus",
-        "stats": "report per-source statistics of the filtered corpus",
-        "split": "deterministically set aside a validation set",
-        "train-lm": "train an n-gram language model on article summaries",
-        "decode": "generate text for a file of prompts with a trained model",
-        "evaluate": "score candidate/reference summary pairs",
-        "pipeline": "run filter, split, train-lm, decode, and evaluate end to end",
-    }
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=help_by_command[command])
+    for command, (_, help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON file with RunConfig overrides")
         for option in _OPTIONS.values():
             if _value_type(option) is bool:
@@ -178,7 +167,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         try:
             with open(namespace.config, encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError, RecursionError) as err:
             parser.error(f"cannot read --config file: {err}")
         if not isinstance(overrides, dict):
             parser.error("--config file must hold a JSON object")
@@ -489,24 +478,29 @@ def _cmd_pipeline(config: RunConfig) -> int:
     return 0
 
 
+#: Each command's handler and --help line, in the order --help lists them.
 _COMMANDS = {
-    "filter": _cmd_filter,
-    "stats": _cmd_stats,
-    "split": _cmd_split,
-    "train-lm": _cmd_train_lm,
-    "decode": _cmd_decode,
-    "evaluate": _cmd_evaluate,
-    "pipeline": _cmd_pipeline,
+    "filter": (_cmd_filter, "apply keep/reject rules to an article corpus"),
+    "stats": (_cmd_stats, "report per-source statistics of the filtered corpus"),
+    "split": (_cmd_split, "deterministically set aside a validation set"),
+    "train-lm": (_cmd_train_lm, "train an n-gram language model on article summaries"),
+    "decode": (_cmd_decode, "generate text for a file of prompts with a trained model"),
+    "evaluate": (_cmd_evaluate, "score candidate/reference summary pairs"),
+    "pipeline": (_cmd_pipeline,
+                 "run filter, split, train-lm, decode, and evaluate end to end"),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> int:
     """Execute the selected command; 0 on success, 1 on categorized failure."""
     try:
-        return _COMMANDS[config.command](config)
+        handler, _ = _COMMANDS[config.command]
+        return handler(config)
     except FileNotFoundError as err:
         print(f"error: input: {err}", file=sys.stderr)
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, RecursionError) as err:
+        # RecursionError: a model or vocabulary file nested past the limit
         print(f"error: data: {err}", file=sys.stderr)
     except OSError as err:
         print(f"error: io: {err}", file=sys.stderr)

@@ -7,8 +7,12 @@ and all length thresholds below are counted in Unicode code points of the
 normalized text, so accented characters count as one character.
 
 The near-copy filter measures the longest common substring (contiguous,
-character-level, case-sensitive) between summary and body. The production
-matcher is a suffix automaton, linear in the combined text length.
+character-level, case-sensitive) between summary and body. The matcher
+walks the start positions of the shorter text once and grows the best
+length while the next longer piece occurs in the longer text, using
+Python's own substring search. On news text that search fails fast; on
+periodic text such as ``"aaab" * n`` against ``"a" * m`` it can take up
+to O(len(a) * len(b) * L) character comparisons for a shared length L.
 """
 
 from __future__ import annotations
@@ -126,9 +130,10 @@ def read_jsonl(
 ) -> Iterator[tuple[int, dict | None, str | None]]:
     """Yield ``(line_no, record, error)`` for each non-blank line of a file.
 
-    A line that is not UTF-8, not a JSON object, or lacks ``required`` keys
-    gives a None record and an error; reading goes on. An unreadable file
-    raises the underlying OSError.
+    A line that is not UTF-8, that the JSON parser refuses (nesting past
+    the recursion limit included), that is not an object, or that lacks
+    ``required`` keys gives a None record and an error; reading goes on.
+    An unreadable file raises the underlying OSError.
     """
     # undecodable bytes become lone surrogates, which never re-encode, so
     # a bad byte fails its own line and leaves the newlines where they were
@@ -143,7 +148,9 @@ def read_jsonl(
             except UnicodeEncodeError:
                 yield line_no, None, "invalid UTF-8"
                 continue
-            except json.JSONDecodeError as err:
+            except (ValueError, RecursionError) as err:
+                # besides syntax errors: nesting past the recursion limit
+                # and integers past the int-string digit limit
                 yield line_no, None, f"invalid JSON: {err}"
                 continue
             if not isinstance(record, dict):
@@ -188,71 +195,18 @@ def to_json_line(article: Article) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-class _SuffixAutomaton:
-    """Suffix automaton of a fixed string; answers longest-match scans."""
-
-    __slots__ = ("_next", "_link", "_len")
-
-    def __init__(self, text: str):
-        self._next: list[dict[str, int]] = [{}]
-        self._link = [-1]
-        self._len = [0]
-        last = 0
-        for ch in text:
-            cur = len(self._len)
-            self._next.append({})
-            self._link.append(-1)
-            self._len.append(self._len[last] + 1)
-            p = last
-            while p != -1 and ch not in self._next[p]:
-                self._next[p][ch] = cur
-                p = self._link[p]
-            if p == -1:
-                self._link[cur] = 0
-            else:
-                q = self._next[p][ch]
-                if self._len[p] + 1 == self._len[q]:
-                    self._link[cur] = q
-                else:
-                    clone = len(self._len)
-                    self._next.append(dict(self._next[q]))
-                    self._link.append(self._link[q])
-                    self._len.append(self._len[p] + 1)
-                    while p != -1 and self._next[p].get(ch) == q:
-                        self._next[p][ch] = clone
-                        p = self._link[p]
-                    self._link[q] = clone
-                    self._link[cur] = clone
-            last = cur
-
-    def longest_match_len(self, text: str) -> int:
-        """Length of the longest substring of ``text`` the automaton accepts."""
-        best = 0
-        state = 0
-        length = 0
-        for ch in text:
-            while state and ch not in self._next[state]:
-                state = self._link[state]
-                length = self._len[state]
-            if ch in self._next[state]:
-                state = self._next[state][ch]
-                length += 1
-                if length > best:
-                    best = length
-            else:
-                state = 0
-                length = 0
-        return best
-
-
 def longest_common_substring_len(a: str, b: str) -> int:
     """Length of the longest contiguous character run shared by ``a`` and ``b``."""
-    if not a or not b:
-        return 0
-    # build the automaton over the shorter string, stream the longer one
     if len(a) > len(b):
         a, b = b, a
-    return _SuffixAutomaton(a).longest_match_len(b)
+    # every prefix of a shared run is shared too, so at each start in the
+    # shorter string it is enough to try one character more than the best;
+    # past the end of ``a`` a slice stops growing, so the bound is needed
+    best = 0
+    for i in range(len(a)):
+        while i + best < len(a) and a[i : i + best + 1] in b:
+            best += 1
+    return best
 
 
 def overlap_ratio(summary: str, body: str) -> float:
@@ -278,9 +232,9 @@ class FilterConfig:
     max_overlap_ratio: float = 0.2
 
     def __post_init__(self):
-        if self.min_summary_chars < 0 or self.min_body_chars < 0:
+        if not (self.min_summary_chars >= 0 and self.min_body_chars >= 0):
             raise ValueError("length thresholds must be nonnegative")
-        if self.min_body_to_summary_ratio < 0:
+        if not self.min_body_to_summary_ratio >= 0:
             raise ValueError("min_body_to_summary_ratio must be nonnegative")
         if not 0 <= self.max_overlap_ratio <= 1:
             raise ValueError("max_overlap_ratio must lie in [0, 1]")

@@ -77,7 +77,7 @@ class DecodeConfig:
             raise ValueError("max_length must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be at least 1")

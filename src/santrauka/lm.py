@@ -79,7 +79,7 @@ def apply_temperature(logits, tau: float) -> np.ndarray:
     Larger tau flattens the distribution, smaller tau sharpens it; the
     argmax never moves.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("temperature must be positive")
     return softmax(np.asarray(logits, dtype=float) / tau)
 
@@ -123,8 +123,8 @@ class NGramModel(LanguageModel):
     ):
         if order < 1:
             raise ValueError("order must be at least 1")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         self._vocab = vocab
         self._order = order
         self._alpha = float(alpha)
@@ -275,8 +275,8 @@ def train_ngram(
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     seen_any = False
     for stream in streams:

@@ -90,8 +90,8 @@ class Vocabulary:
         if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate tokens in vocabulary")
         lp = np.asarray(log_probs, dtype=float)
-        if lp.size and lp.max() > 0:
-            raise ValueError("log probabilities must be <= 0")
+        if lp.size and not lp.max() <= 0:
+            raise ValueError("log probabilities must be <= 0 and not NaN")
         self._tokens = tuple(tokens)
         self._log_probs = lp
         self._log_probs.flags.writeable = False
@@ -305,13 +305,13 @@ def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
     unk_lp = float(log_probs[unk]) if unk is not None else 0.0
     max_len = vocab.max_token_len
 
-    # tails[i] describes the best segmentation of text[i:] as a tuple
-    # (unk_count, score, token_count, first_token_id, next_position)
+    # tails[i] describes the best segmentation of text[i:] by the tuple
+    # (unk_count, -score, token_count, first_token_id, next_position),
+    # which is also its rank: the least tuple wins
     tails: list[tuple | None] = [None] * (n + 1)
     tails[n] = (0, 0.0, 0, -1, n)
     for i in range(n - 1, -1, -1):
         best = None
-        best_key = None
         for length in range(1, min(max_len, n - i) + 1):
             tid = vocab.surface_id(text[i : i + length])
             if tid is None:
@@ -319,18 +319,14 @@ def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
             nxt = tails[i + length]
             if nxt is None:
                 continue
-            score = float(log_probs[tid]) + nxt[1]
-            key = (nxt[0], -score, nxt[2] + 1, tid)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (nxt[0], score, nxt[2] + 1, tid, i + length)
-        if unk is not None and tails[i + 1] is not None:
-            nxt = tails[i + 1]
-            score = unk_lp + nxt[1]
-            key = (nxt[0] + 1, -score, nxt[2] + 1, unk)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (nxt[0] + 1, score, nxt[2] + 1, unk, i + 1)
+            option = (nxt[0], nxt[1] - float(log_probs[tid]), nxt[2] + 1, tid, i + length)
+            if best is None or option < best:
+                best = option
+        nxt = tails[i + 1]
+        if unk is not None and nxt is not None:
+            option = (nxt[0] + 1, nxt[1] - unk_lp, nxt[2] + 1, unk, i + 1)
+            if best is None or option < best:
+                best = option
         tails[i] = best
     if tails[0] is None:
         raise ValueError(

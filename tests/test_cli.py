@@ -153,6 +153,20 @@ class TestConfigFilePrecedence:
                         "--config", str(config_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"[" * 100_000, id="nested"),
+        pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="huge-int"),
+        pytest.param(b'{"stemmer": "\xff"}', id="not-utf8"),
+    ])
+    def test_unparsable_config_file_is_a_usage_error(self, tmp_path, capsys, content):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["filter", "--input", "i", "--output", "o",
+                        "--config", str(config_path)])
+        assert exc.value.code == 2
+        assert "cannot read --config file" in capsys.readouterr().err
+
     def test_config_can_set_flagless_fields(self, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"sample_within_beam": True}), encoding="utf-8")
@@ -446,6 +460,29 @@ class TestTrainAndDecodeCommands:
         lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
         assert lines[0] == {"line": 2, "error": "key 'prompt' must be a string"}
         assert [l["id"] for l in lines[1:]] == [1]
+
+    def test_decode_nested_request_line_is_a_line_error(self, tmp_path):
+        model_path = train_model_file(tmp_path)
+        input_path = tmp_path / "req.jsonl"
+        input_path.write_text('{"id": 1, "prompt": "kalba"}\n' + "[" * 100_000 + "\n",
+                              encoding="utf-8")
+        output_path = tmp_path / "res.jsonl"
+        assert main(["decode", "--input", str(input_path), "--model", str(model_path),
+                     "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0]["line"] == 2
+        assert lines[0]["error"].startswith("invalid JSON: maximum recursion depth")
+        assert [l["id"] for l in lines[1:]] == [1]
+
+    def test_nested_model_file_is_a_data_error(self, tmp_path, capsys):
+        model_path = tmp_path / "nested.json"
+        model_path.write_text('{"counts": ' + "[" * 100_000, encoding="utf-8")
+        requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "kalba"}])
+        output_path = tmp_path / "res.jsonl"
+        assert main(["decode", "--input", requests, "--model", str(model_path),
+                     "--output", str(output_path)]) == 1
+        assert "error: data: maximum recursion depth" in capsys.readouterr().err
+        assert not output_path.exists()
 
     def test_missing_model_fails_without_output(self, tmp_path):
         requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "x"}])

@@ -1,9 +1,12 @@
+import io
 import json
 import string
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from santrauka.corpus import (
     Article,
@@ -84,6 +87,21 @@ class TestLongestCommonSubstring:
 
     def test_unicode_counts_code_points(self):
         assert longest_common_substring_len("ąčęėį", "xxąčęėįxx") == 5
+
+    def test_run_at_the_end_of_the_shorter_string(self):
+        # a slice cut short at the end of the shorter string must not count
+        assert longest_common_substring_len("xab", "abyyy") == 2
+        assert longest_common_substring_len("aab", "baabaa") == 3
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        a=st.text(st.sampled_from("abą"), max_size=30)
+        | st.text(st.sampled_from("abcdšžė"), max_size=60),
+        b=st.text(st.sampled_from("abą"), max_size=30)
+        | st.text(st.sampled_from("abcdšžė"), max_size=60),
+    )
+    def test_matches_dp_oracle_property(self, a, b):
+        assert longest_common_substring_len(a, b) == lcs_substring_dp(a, b)
 
 
 class TestOverlapRatio:
@@ -167,6 +185,28 @@ class TestFilterArticle:
         article = make_article("abcdefghijk", _distinct_body(250))
         first = filter_article(article, self.CONFIG)
         assert filter_article(article, self.CONFIG) == first
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+_article_records = st.fixed_dictionaries(
+    {},
+    optional={
+        key: st.text() | st.dates().map(date.isoformat) | _json_values
+        for key in ("source", "summary", "body", "url", "published_at", "extra")
+    },
+)
+#: One line of a fuzzed JSONL file: near-articles, arbitrary text, raw bytes,
+#: deep nesting.
+_fuzzed_lines = st.one_of(
+    _article_records.map(lambda r: json.dumps(r).encode("utf-8")),
+    st.text().map(lambda t: t.encode("utf-8")),
+    st.binary(max_size=40),
+    st.integers(1, 5000).map(lambda depth: b"[" * depth),
+)
 
 
 class TestIngest(object):
@@ -259,6 +299,37 @@ class TestIngest(object):
             IngestError(4, "invalid UTF-8"),
             IngestError(5, "unknown keys: ['zz']"),
         ]
+
+    def test_unparsable_lines_fail_alone(self, tmp_path):
+        path = self.write_lines(
+            tmp_path,
+            [
+                "[" * 100_000,
+                '{"source":"x","summary":"s","body":"b","n":' + "1" * 5000 + "}",
+                '{"source":"y","summary":"s","body":"b"}',
+            ],
+        )
+        errors = []
+        assert [a.source for a in ingest(path, errors)] == ["y"]
+        assert [e.line_no for e in errors] == [1, 2]
+        assert all(e.message.startswith("invalid JSON: ") for e in errors)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_fuzzed_lines, max_size=6))
+    @example(lines=[b"[" * 100_000, b'{"a":' * 3000])
+    @example(lines=[b'{"source":"x","summary":"s","body":"b"}', b"\xff\r\x00", b"-" + b"9" * 5000])
+    def test_fuzzed_lines_never_raise(self, tmp_path, lines):
+        data = b"\n".join(lines)
+        path = tmp_path / "fuzzed.jsonl"
+        path.write_bytes(data)
+        errors = []
+        articles = list(ingest(path, errors))
+        # every non-blank line, split as the file reader splits it, is
+        # either one article or one error
+        reader = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        assert len(articles) + len(errors) == sum(1 for line in reader if line.strip())
+        assert all(isinstance(e.message, str) for e in errors)
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from santrauka.corpus import FilterConfig
+from santrauka.decode import DecodeConfig
 from santrauka.lm import (
     BEGIN,
     NGramModel,
@@ -33,6 +35,34 @@ def ab_model(order=2, alpha=0.0):
 def entropy(dist):
     positive = dist[dist > 0]
     return float(-(positive * np.log(positive)).sum())
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Vocabulary(["a", "<eos>"], [_NAN, 0.0], eos="<eos>"),
+                 "log probabilities", id="vocab"),
+    pytest.param(lambda: Vocabulary.from_dict({"tokens": ["a", "<eos>"],
+                                               "log_probs": [_NAN, 0.0],
+                                               "specials": {"eos": "<eos>"}}),
+                 "log probabilities", id="vocab-payload"),
+    pytest.param(lambda: train_ngram([[0]], 2, _NAN, ab_vocab()), "alpha", id="train-alpha"),
+    pytest.param(lambda: NGramModel(ab_vocab(), 2, _NAN, {}), "alpha", id="model-alpha"),
+    # an infinite alpha makes every row NaN too
+    pytest.param(lambda: train_ngram([[0]], 2, math.inf, ab_vocab()), "alpha",
+                 id="train-alpha-inf"),
+    pytest.param(lambda: FilterConfig(min_body_to_summary_ratio=_NAN),
+                 "min_body_to_summary_ratio", id="filter-ratio"),
+    pytest.param(lambda: FilterConfig(min_body_chars=_NAN), "length thresholds",
+                 id="filter-length"),
+    pytest.param(lambda: DecodeConfig(temperature=_NAN), "temperature", id="decode-temperature"),
+    pytest.param(lambda: apply_temperature([0.0, 1.0], _NAN), "temperature",
+                 id="apply-temperature"),
+])
+def test_nan_fails_range_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestTrainNgram:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from santrauka.tokenizer import (
     TokenSequence,
@@ -37,6 +39,44 @@ def enumerate_segmentations(text, pieces):
         if text.startswith(piece):
             for rest in enumerate_segmentations(text[len(piece):], pieces):
                 yield (piece,) + rest
+
+
+def ranked_segmentations(text, vocab):
+    """Every split of text into surface tokens and one-character unks, by
+    brute force, each as (unk count, -score, token count, ids)."""
+    def splits(start):
+        if start == len(text):
+            yield ()
+            return
+        for end in range(start + 1, len(text) + 1):
+            tid = vocab.surface_id(text[start:end])
+            if tid is not None:
+                for rest in splits(end):
+                    yield (tid,) + rest
+        if vocab.unk_id is not None:
+            for rest in splits(start + 1):
+                yield (vocab.unk_id,) + rest
+
+    for ids in splits(0):
+        score = sum(float(vocab.log_probs[i]) for i in ids)
+        yield ids.count(vocab.unk_id), -score, len(ids), ids
+
+
+#: Log-probs whose sums over a few tokens are exact, so ties are real ties.
+_dyadic = st.sampled_from([0.0, -0.5, -1.0, -2.0])
+
+
+@st.composite
+def _subword_vocabs(draw):
+    pieces = draw(st.lists(st.text("abą", min_size=1, max_size=3),
+                           min_size=1, max_size=7, unique=True))
+    tokens = pieces + ["<eos>"]
+    log_probs = [draw(_dyadic) for _ in pieces] + [0.0]
+    unk = draw(st.booleans())
+    if unk:
+        tokens.append("<unk>")
+        log_probs.append(draw(_dyadic))
+    return Vocabulary(tokens, log_probs, eos="<eos>", unk="<unk>" if unk else None)
 
 
 class TestWordTokenize:
@@ -247,6 +287,16 @@ class TestViterbiSegment:
                 for seg in enumerate_segmentations(text, pieces)
             )
             assert got == pytest.approx(best, abs=1e-9)
+
+    @settings(max_examples=400, deadline=None)
+    @given(vocab=_subword_vocabs(), text=st.text("abąz", max_size=7))
+    def test_matches_ranked_brute_force(self, vocab, text):
+        best = min(ranked_segmentations(text, vocab), default=None)
+        if best is None:
+            with pytest.raises(ValueError, match="cannot be segmented"):
+                viterbi_segment(text, vocab)
+        else:
+            assert viterbi_segment(text, vocab).ids == best[3]
 
     def test_round_trip_on_covered_text(self):
         rng = np.random.default_rng(31)
