@@ -8,6 +8,12 @@ Pipeline stages, each usable on its own:
 - :mod:`santrauka.decode` searches or samples output sequences
 - :mod:`santrauka.metrics` scores summaries and aggregates reports
 - :mod:`santrauka.cli` wires everything into reproducible batch runs
+
+The package re-exports the function :func:`~santrauka.decode.decode`, and
+that name shadows the submodule: ``santrauka.decode`` is the function, and
+so is ``import santrauka.decode as m``. Reach the module itself with
+``importlib.import_module("santrauka.decode")`` or
+``sys.modules["santrauka.decode"]``.
 """
 
 from santrauka.corpus import (

@@ -111,6 +111,13 @@ class LanguageModel(ABC):
         return softmax(self.next_logits(prefix))
 
 
+def _check_order_alpha(order: int, alpha: float) -> None:
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
+
+
 class NGramModel(LanguageModel):
     """Count-based conditional model of fixed order with additive smoothing."""
 
@@ -121,10 +128,7 @@ class NGramModel(LanguageModel):
         alpha: float,
         counts: dict[tuple[int, ...], dict[int, int]],
     ):
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        if not 0 <= alpha < math.inf:
-            raise ValueError("alpha must be finite and nonnegative")
+        _check_order_alpha(order, alpha)
         self._vocab = vocab
         self._order = order
         self._alpha = float(alpha)
@@ -273,10 +277,7 @@ def train_ngram(
     them) or plain id sequences with ``vocab`` passed explicitly. Every
     sequence contributes one window per token plus a terminal eos event.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if not 0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and nonnegative")
+    _check_order_alpha(order, alpha)
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     seen_any = False
     for stream in streams:

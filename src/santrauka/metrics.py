@@ -2,9 +2,11 @@
 
 ROUGE-n counts clipped common n-grams between candidate and reference
 (each n-gram matches at most min(multiplicity) times); ROUGE-L uses the
-longest common subsequence at the word level. Both report precision,
-recall, and balanced F1. Pairs are conventionally tokenized with
-lowercasing and an optional stemmer plugin before scoring.
+longest common subsequence at the word level, found by the bit-parallel
+LCS-length algorithm (Allison & Dix 1986; Hyyrö 2004) in
+O(|a|·⌈|b|/word⌉) big-integer operations. Tokens must be hashable. Both
+report precision, recall, and balanced F1. Pairs are conventionally
+tokenized with lowercasing and an optional stemmer plugin before scoring.
 
 Aggregates are the arithmetic mean and sample standard deviation
 (divisor n-1, zero for a single record), rendered as "0.298 (0.154)".
@@ -83,26 +85,28 @@ def rouge_n(candidate: Sequence, reference: Sequence, n: int) -> RougeScore:
 
 
 def _lcs_len(a: Sequence, b: Sequence) -> int:
-    # two-row table; quadratic time, linear memory
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    # bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004): bit j of
+    # ``v`` is 0 where row i of the DP table steps up at column j
+    full = (1 << len(b)) - 1
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence, reference: Sequence) -> RougeScore:
     """Longest-common-subsequence score over word tokens.
 
     The subsequence need not be contiguous; recall divides its length by
-    the reference length, precision by the candidate length.
+    the reference length, precision by the candidate length. Its length
+    comes from the bit-parallel LCS algorithm: one bitmask per distinct
+    reference token, then O(|candidate|·⌈|reference|/word⌉) big-integer
+    operations, where a word is the integer digit width. Tokens must be
+    hashable.
     """
     lcs = _lcs_len(candidate, reference)
     return RougeScore.from_counts(lcs, len(candidate), len(reference))
@@ -131,19 +135,23 @@ def identity_stem(word: str) -> str:
     return word
 
 
-_LT_SUFFIXES = tuple(
-    sorted(
-        [
-            "iuose", "iomis",
-            "uose", "omis", "ėmis", "iais", "iams", "iems", "iose", "ioms",
-            "ais", "ams", "oms", "ose", "ėms", "ėse", "ėje", "oje", "yje",
-            "ius", "iai", "iui",
-            "as", "os", "es", "ės", "is", "ys", "us", "ai", "ei", "ui",
-            "io", "iu", "ių", "ti",
-            "a", "ą", "e", "ę", "ė", "i", "į", "y", "o", "u", "ų", "ū",
-        ],
-        key=lambda s: (-len(s), s),
-    )
+_LT_SUFFIXES = frozenset(
+    [
+        "iuose", "iomis",
+        "uose", "omis", "ėmis", "iais", "iams", "iems", "iose", "ioms",
+        "ais", "ams", "oms", "ose", "ėms", "ėse", "ėje", "oje", "yje",
+        "ius", "iai", "iui",
+        "as", "os", "es", "ės", "is", "ys", "us", "ai", "ei", "ui",
+        "io", "iu", "ių", "ti",
+        "a", "ą", "e", "ę", "ė", "i", "į", "y", "o", "u", "ų", "ū",
+    ]
+)
+
+# (length, suffixes of that length), longest first; a word's ending of a
+# given length is one string, so each group matches at most one suffix
+_LT_SUFFIXES_BY_LENGTH = tuple(
+    (size, frozenset(s for s in _LT_SUFFIXES if len(s) == size))
+    for size in sorted({len(s) for s in _LT_SUFFIXES}, reverse=True)
 )
 
 _MIN_STEM = 3
@@ -156,9 +164,9 @@ def lithuanian_light_stem(word: str) -> str:
     would fall below three characters, so short words and the stop word
     "ir" pass through unchanged.
     """
-    for suffix in _LT_SUFFIXES:
-        if word.endswith(suffix) and len(word) - len(suffix) >= _MIN_STEM:
-            return word[: -len(suffix)]
+    for size, suffixes in _LT_SUFFIXES_BY_LENGTH:
+        if len(word) - size >= _MIN_STEM and word[-size:] in suffixes:
+            return word[:-size]
     return word
 
 

@@ -40,7 +40,8 @@ RESERVED_SPECIALS = {"eos": "<eos>", "unk": "<unk>", "pad": "<pad>"}
 
 
 def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+    # no alphanumeric code point has a P* category; skip the lookup for them
+    return not ch.isalnum() and unicodedata.category(ch).startswith("P")
 
 
 def word_tokenize(text: str, lowercase: bool = False) -> list[str]:

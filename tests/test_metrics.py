@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from santrauka.metrics import (
+    _lcs_len,
     EvalRecord,
     MeanStd,
     RougeScore,
@@ -41,6 +44,56 @@ def lcs_table_oracle(a, b):
             else:
                 table[i][j] = max(table[i - 1][j], table[i][j - 1])
     return table[len(a)][len(b)]
+
+
+def _lcs_len_dp(a, b):
+    """Two-row LCS table: quadratic time, linear memory."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+# short lists and lists past one 64-bit machine word, over few symbols
+_SMALL_ALPHABET_LISTS = st.one_of(
+    st.lists(st.sampled_from("abc"), max_size=10),
+    st.lists(st.sampled_from("abcd"), min_size=64, max_size=160),
+)
+_LITHUANIAN_WORDS = ["ąžuolas", "ėjo", "ir", "namų", "upės", "šiandien", "žmonės"]
+_LITHUANIAN_ALPHABET = "aąbcčdeęėfghiįyjklmnoprsštuųūvzž"
+
+#: The stemmer's suffix list before it was grouped by length, in its old
+#: longest-first order.
+_OLD_LT_SUFFIXES = tuple(
+    sorted(
+        [
+            "iuose", "iomis",
+            "uose", "omis", "ėmis", "iais", "iams", "iems", "iose", "ioms",
+            "ais", "ams", "oms", "ose", "ėms", "ėse", "ėje", "oje", "yje",
+            "ius", "iai", "iui",
+            "as", "os", "es", "ės", "is", "ys", "us", "ai", "ei", "ui",
+            "io", "iu", "ių", "ti",
+            "a", "ą", "e", "ę", "ė", "i", "į", "y", "o", "u", "ų", "ū",
+        ],
+        key=lambda s: (-len(s), s),
+    )
+)
+
+
+def endswith_stem_oracle(word):
+    """The stemmer as one ``endswith`` test per suffix, longest first."""
+    for suffix in _OLD_LT_SUFFIXES:
+        if word.endswith(suffix) and len(word) - len(suffix) >= 3:
+            return word[: -len(suffix)]
+    return word
 
 
 def random_tokens(rng, max_len=20, vocab=10):
@@ -127,6 +180,25 @@ class TestRougeL:
             is_subsequence = lcs_table_oracle(candidate, reference) == len(reference)
             assert (recall == 1.0) == is_subsequence
 
+    @settings(max_examples=400, deadline=None)
+    @given(a=_SMALL_ALPHABET_LISTS, b=_SMALL_ALPHABET_LISTS)
+    @example(a=[], b=[])
+    @example(a=[], b=["a"] * 70)
+    @example(a=["a"] * 70, b=[])
+    @example(a=["a", "b"] * 40, b=["b", "a"] * 40)
+    @example(a=["a"] * 64, b=["a"] * 64)
+    @example(a=["a"] * 65, b=["b"] * 63 + ["a"] * 2)
+    def test_bit_parallel_matches_dp_on_repeats(self, a, b):
+        assert _lcs_len(a, b) == _lcs_len_dp(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.sampled_from(_LITHUANIAN_WORDS), max_size=80),
+        b=st.lists(st.sampled_from(_LITHUANIAN_WORDS), max_size=80),
+    )
+    def test_bit_parallel_matches_dp_on_lithuanian_words(self, a, b):
+        assert _lcs_len(a, b) == _lcs_len_dp(a, b)
+
 
 class TestScoreShapeProperties:
     def test_swapping_sides_swaps_p_and_r(self):
@@ -209,6 +281,26 @@ class TestStemmers:
     def test_short_words_untouched(self):
         assert lithuanian_light_stem("ir") == "ir"
         assert lithuanian_light_stem("yra") == "yra"
+
+    @settings(max_examples=500, deadline=None)
+    @given(word=st.text(_LITHUANIAN_ALPHABET, max_size=12))
+    def test_lithuanian_light_matches_endswith_loop(self, word):
+        assert lithuanian_light_stem(word) == endswith_stem_oracle(word)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.text(_LITHUANIAN_ALPHABET, max_size=4),
+        suffix=st.sampled_from(_OLD_LT_SUFFIXES),
+    )
+    def test_lithuanian_light_matches_endswith_loop_on_suffixes(self, prefix, suffix):
+        word = prefix + suffix
+        assert lithuanian_light_stem(word) == endswith_stem_oracle(word)
+
+    def test_lithuanian_light_every_suffix_every_prefix_length(self):
+        for suffix in _OLD_LT_SUFFIXES:
+            for size in range(5):
+                word = "kžmn"[:size] + suffix
+                assert lithuanian_light_stem(word) == endswith_stem_oracle(word), word
 
     def test_unknown_stemmer_errors(self):
         with pytest.raises(ValueError, match="unknown stemmer"):

@@ -1,4 +1,6 @@
 import math
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -79,6 +81,25 @@ def _subword_vocabs(draw):
     return Vocabulary(tokens, log_probs, eos="<eos>", unk="<unk>" if unk else None)
 
 
+def category_word_tokenize(text, lowercase=False):
+    """word_tokenize with the punctuation test as a category lookup on
+    every character."""
+    def is_punct(ch):
+        return unicodedata.category(ch).startswith("P")
+
+    tokens = []
+    for chunk in text.split():
+        start, end = 0, len(chunk)
+        while start < end and is_punct(chunk[start]):
+            start += 1
+        while end > start and is_punct(chunk[end - 1]):
+            end -= 1
+        if start < end:
+            word = chunk[start:end]
+            tokens.append(word.lower() if lowercase else word)
+    return tokens
+
+
 class TestWordTokenize:
     def test_punctuation_stripping(self):
         assert word_tokenize("Labas, pasauli!", lowercase=True) == ["labas", "pasauli"]
@@ -109,6 +130,23 @@ class TestWordTokenize:
             once = word_tokenize(text, lowercase=True)
             again = word_tokenize(" ".join(once), lowercase=True)
             assert once == again
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.text("aąčęėįšųūžAĄŽ09²½٣_.,!?-–—„“«»'\"()…:;/§ \t\n", max_size=40),
+        lowercase=st.booleans(),
+    )
+    def test_matches_category_lookup(self, text, lowercase):
+        expected = category_word_tokenize(text, lowercase=lowercase)
+        assert word_tokenize(text, lowercase=lowercase) == expected
+
+    def test_no_alphanumeric_code_point_is_punctuation(self):
+        both = [
+            hex(cp)
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert both == []
 
 
 class TestNgrams:
