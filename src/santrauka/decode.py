@@ -14,16 +14,17 @@ through inverse-CDF lookup, so outputs are reproducible bit for bit.
 
 ``DecodeConfig.method`` selects the search, and all three run one loop:
 greedy and sampling keep one hypothesis, beam search keeps ``beam_size``.
-Each step scores every live hypothesis with one ``next_logits_batch``
-call and shapes the rows together; every row is bit-identical to shaping
-that hypothesis alone.
+Each step scores every live hypothesis, prompt plus generated ids, with
+one ``next_logits_batch`` call and shapes the rows together; every row is
+bit-identical to shaping that hypothesis alone. The n-gram ban reads the
+generated ids only, so n-grams of the prompt never ban a token.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +90,8 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A partial output with its cumulative log-probability."""
+    """Generated ids (no prompt) and their cumulative log-probability;
+    ``finished`` is False while live and True in every returned pool."""
 
     ids: tuple[int, ...]
     log_prob: float
@@ -135,10 +137,10 @@ def block_repeated_ngrams(
 ) -> np.ndarray:
     """Zero out tokens that would repeat an n-gram already in ``ids``.
 
-    A token t is banned when the last n-1 generated ids followed by t
-    form an n-gram that already occurs in the sequence. If every token
-    would be banned, the distribution collapses to eos so decoding can
-    always halt.
+    ``ids`` are the generated ids only; decoders never pass the prompt. A
+    token t is banned when the last n-1 ids followed by t form an n-gram
+    that already occurs in ``ids``. If every token would be banned, the
+    distribution collapses to eos so decoding can always halt.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -146,11 +148,7 @@ def block_repeated_ngrams(
     ids = tuple(ids)
     if len(ids) < n:
         return dist.copy()
-    bans: dict = {}
-    for end in range(n, len(ids) + 1):
-        bans = _extend_bans(bans, ids[:end], n)
-    banned = bans.get(ids[len(ids) - n + 1 :], ())
-    return _ban_rows(dist.reshape(1, -1).copy(), [banned], eos_id)[0]
+    return _ban_rows(dist.reshape(1, -1).copy(), [_banned(ids, n)], eos_id)[0]
 
 
 def _by_probability(dist: np.ndarray) -> np.ndarray:
@@ -193,13 +191,22 @@ def _top_p_rows(dist: np.ndarray, p: float) -> np.ndarray:
     return _unrank(rows, order, ranked)
 
 
-def _extend_bans(bans: dict, prefix: tuple[int, ...], n: int) -> dict:
-    """``bans`` plus the n-gram that ends ``prefix``.
-
-    ``bans`` maps each (n-1)-gram seen so far to the ids that followed it.
-    """
-    key = prefix[len(prefix) - n : -1]
-    return {**bans, key: bans.get(key, ()) + (prefix[-1],)}
+def _banned(ids: tuple[int, ...], n: int) -> list[int]:
+    """The ids that followed earlier occurrences of the last n-1 of ``ids``:
+    emitting any of them would repeat an n-gram of ``ids``."""
+    if n == 1:
+        return list(ids)
+    key = ids[len(ids) - n + 1 :]
+    # an earlier occurrence starts by len(ids) - n, so an id follows it;
+    # tuple.index finds each candidate start in C
+    stop, banned, i = len(ids) - n + 1, [], -1
+    try:
+        while True:
+            i = ids.index(key[0], i + 1, stop)
+            if ids[i : i + n - 1] == key:
+                banned.append(ids[i + n - 1])
+    except ValueError:
+        return banned
 
 
 def _ban_rows(dist: np.ndarray, banned: list, eos_id: int) -> np.ndarray:
@@ -217,24 +224,16 @@ def _ban_rows(dist: np.ndarray, banned: list, eos_id: int) -> np.ndarray:
     return dist
 
 
-class _Live(NamedTuple):
-    """An unfinished hypothesis: prompt + generated ids, score, ban index."""
-
-    prefix: tuple[int, ...]
-    log_prob: float
-    bans: dict
-
-
 def _step(
     model: LanguageModel,
-    live: list[_Live],
-    length: int,
+    prompt_ids: tuple[int, ...],
+    live: list[Hypothesis],
     config: DecodeConfig,
     sampling: bool,
 ) -> np.ndarray:
     """The shaped next-token distribution of every live hypothesis, one row
-    each, from one batched model call; ``length`` ids are generated so far."""
-    logits = model.next_logits_batch([hyp.prefix for hyp in live])
+    each, from one batched model call."""
+    logits = model.next_logits_batch([prompt_ids + hyp.ids for hyp in live])
     dist = softmax_rows(np.asarray(logits, dtype=float) / config.temperature)
     if sampling:
         if config.top_k is not None:
@@ -242,8 +241,9 @@ def _step(
         if config.top_p is not None:
             dist = _top_p_rows(dist, config.top_p)
     n = config.no_repeat_ngram_size
-    if n is not None and length >= n:
-        banned = [hyp.bans.get(hyp.prefix[len(hyp.prefix) - n + 1 :], ()) for hyp in live]
+    # live hypotheses share one length
+    if n is not None and len(live[0].ids) >= n:
+        banned = [_banned(hyp.ids, n) for hyp in live]
         dist = _ban_rows(dist, banned, model.vocab.eos_id)
     return dist
 
@@ -293,52 +293,45 @@ def _search(
     sampling = config.method == "sample" or (beam and config.sample_within_beam)
     rng = np.random.default_rng(config.seed) if sampling else None
     prompt_ids = token_ids(prompt)
-    start = len(prompt_ids)
     eos = model.vocab.eos_id
-    n = config.no_repeat_ngram_size
     finished: list[Hypothesis] = []
     best_finished = -math.inf
     if prompt_ids and prompt_ids[-1] == eos:
         finished.append(Hypothesis((), 0.0, True))
-        live: list[_Live] = []
+        live: list[Hypothesis] = []
     else:
-        live = [_Live(prompt_ids, 0.0, {})]
-    for length in range(config.max_length):
+        live = [Hypothesis((), 0.0, False)]
+    for _ in range(config.max_length):
         if not live:
             break
-        dist = _step(model, live, length, config, sampling)
+        dist = _step(model, prompt_ids, live, config, sampling)
         if not sampling:
             picks = _best_successors(dist, width)
         elif beam:
             picks = [_sampled_successors(row, width, rng) for row in dist]
         else:
             picks = [[_sample_index(row, rng)] for row in dist]
-        # live prefixes share one length, so (parent prefix, token) orders
-        # as the candidate's ids would, without building them
+        # live ids share one length, so (parent ids, token) orders as the
+        # candidate's ids would, without building them
         candidates = sorted(
-            (-(hyp.log_prob + math.log(row[token])), hyp.prefix, token, i)
-            for i, (hyp, row, tokens) in enumerate(zip(live, dist.tolist(), picks))
+            (-(hyp.log_prob + math.log(row[token])), hyp.ids, token)
+            for hyp, row, tokens in zip(live, dist.tolist(), picks)
             for token in tokens
         )
-        parents, live = live, []
-        for neg_log_prob, _, token, i in candidates:
+        live = []
+        for neg_log_prob, ids, token in candidates:
             if token == eos:
-                ids = parents[i].prefix[start:] + (token,)
-                finished.append(Hypothesis(ids, -neg_log_prob, True))
+                finished.append(Hypothesis(ids + (token,), -neg_log_prob, True))
                 best_finished = max(best_finished, -neg_log_prob)
             elif len(live) < width:
-                prefix = parents[i].prefix + (token,)
-                bans = parents[i].bans
-                if n is not None and length + 1 >= n:
-                    bans = _extend_bans(bans, prefix, n)
-                live.append(_Live(prefix, -neg_log_prob, bans))
+                live.append(Hypothesis(ids + (token,), -neg_log_prob, False))
         if live and best_finished > live[0].log_prob:
             # every step adds log p <= 0, so no live hypothesis can reach
             # the best finished score; on a tie the id order could still
             # favour one, so ties keep decoding
             live = []
     # anything still alive ran out of budget and counts as finished
-    finished.extend(Hypothesis(h.prefix[start:], h.log_prob, True) for h in live)
+    finished.extend(replace(hyp, finished=True) for hyp in live)
     finished.sort(key=lambda h: (-h.log_prob, h.ids))
     best, vocab = finished[0], model.vocab
     surface = tuple(t for t in best.ids if not vocab.is_special(t))

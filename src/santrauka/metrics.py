@@ -44,6 +44,8 @@ __all__ = [
 #: Words exempt from the repetition rule.
 DEFAULT_STOP_WORDS = frozenset({"ir"})
 
+_MAX_REPEATS = 7
+
 
 @dataclass(frozen=True)
 class RougeScore:
@@ -122,12 +124,17 @@ def length_fraction(generated: str, reference: str) -> float:
 def is_repetitive(
     text: str,
     stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
-    max_count: int = 7,
+    max_count: int = _MAX_REPEATS,
 ) -> bool:
     """True when any non-stop word occurs more than ``max_count`` times."""
-    counts = Counter(word_tokenize(text, lowercase=True))
+    return _repetitive(word_tokenize(text, lowercase=True), stop_words, max_count)
+
+
+def _repetitive(words: Sequence[str], stop_words: frozenset[str], max_count: int) -> bool:
+    """:func:`is_repetitive` on lowercased, unstemmed word tokens."""
     return any(
-        count > max_count and word not in stop_words for word, count in counts.items()
+        count > max_count and word not in stop_words
+        for word, count in Counter(words).items()
     )
 
 
@@ -224,16 +231,17 @@ def evaluate_pair(
     """Score one generated summary against its reference.
 
     ROUGE runs on lowercased, stemmed word tokens; the length fraction on
-    raw characters; the repetition flag on the candidate alone.
+    raw characters; the repetition flag on the candidate's unstemmed words.
     """
-    candidate_tokens = stem_normalize(word_tokenize(candidate, lowercase=True), stemmer)
+    candidate_words = word_tokenize(candidate, lowercase=True)
+    candidate_tokens = stem_normalize(candidate_words, stemmer)
     reference_tokens = stem_normalize(word_tokenize(reference, lowercase=True), stemmer)
     return EvalRecord(
         rouge1=rouge_n(candidate_tokens, reference_tokens, 1),
         rouge2=rouge_n(candidate_tokens, reference_tokens, 2),
         rougeL=rouge_l(candidate_tokens, reference_tokens),
         length_fraction=length_fraction(candidate, reference),
-        repetitive=is_repetitive(candidate, stop_words=stop_words),
+        repetitive=_repetitive(candidate_words, stop_words, _MAX_REPEATS),
     )
 
 

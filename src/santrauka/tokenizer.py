@@ -255,8 +255,12 @@ class Vocabulary:
                 token, sep, lp = line.partition("\t")
                 if not sep:
                     raise ValueError(f"line {line_no}: expected token<TAB>log_prob")
+                try:
+                    log_probs.append(float(lp))
+                except ValueError:
+                    message = f"line {line_no}: log_prob {lp!r} is not a number"
+                    raise ValueError(message) from None
                 tokens.append(token)
-                log_probs.append(float(lp))
         if declared is None:
             declared = {role: name for role, name in RESERVED_SPECIALS.items() if name in tokens}
         return cls.from_dict({"tokens": tokens, "log_probs": log_probs, "specials": declared})

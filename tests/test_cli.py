@@ -484,6 +484,18 @@ class TestTrainAndDecodeCommands:
         assert "error: data: maximum recursion depth" in capsys.readouterr().err
         assert not output_path.exists()
 
+    def test_bad_vocab_log_prob_is_a_data_error(self, tmp_path, capsys):
+        vocab_path = tmp_path / "bad.vocab"
+        vocab_path.write_text("a\t-1.0\nb\tabc\n<eos>\t0.0\n", encoding="utf-8")
+        input_path = write_jsonl(tmp_path / "train.jsonl", synthetic_articles(5))
+        output_path = tmp_path / "model.json"
+        assert main(["train-lm", "--input", input_path, "--output", str(output_path),
+                     "--vocab", str(vocab_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: data: line 2: log_prob 'abc' is not a number" in err
+        assert "Traceback" not in err
+        assert not output_path.exists()
+
     def test_missing_model_fails_without_output(self, tmp_path):
         requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "x"}])
         output_path = tmp_path / "res.jsonl"

@@ -6,11 +6,17 @@ whole beam's rows at once and with fewer steps.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decode_oracle as oracle
-from santrauka.decode import DecodeConfig, beam_search, greedy_decode, sample_decode
+from santrauka.decode import (
+    DecodeConfig,
+    beam_search,
+    block_repeated_ngrams,
+    greedy_decode,
+    sample_decode,
+)
 from santrauka.fixtures import greedy_trap_model
 from santrauka.lm import LanguageModel, TableModel, train_ngram
 from santrauka.tokenizer import TokenSequence, Vocabulary
@@ -154,6 +160,33 @@ def test_table_batch_rows_equal_single_calls(seed, real_tokens, prefixes):
     model = random_table_model(seed, real_tokens)
     size = len(model.vocab)
     assert_rows_match(model, [tuple(t % size for t in p) for p in prefixes])
+
+
+@st.composite
+def ban_cases(draw):
+    """(ids, dist, n, eos): ids over a 2-5 letter alphabet, a distribution
+    over the alphabet plus one id with many zeros, and at times mass left
+    only on the ids the oracle bans, so every id is banned."""
+    letters = draw(st.integers(2, 5))
+    ids = tuple(draw(st.lists(st.integers(0, letters - 1), max_size=40)))
+    n = draw(st.integers(1, 4))
+    eos = draw(st.integers(0, letters))
+    weights = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0])
+    dist = np.array(draw(st.lists(weights, min_size=letters + 1, max_size=letters + 1)))
+    if draw(st.booleans()):
+        unbanned = oracle.block_repeated_ngrams(ids, np.ones(letters + 1), n, eos) > 0
+        dist[unbanned] = 0.0
+    return ids, dist, n, eos
+
+
+@PROPERTY_SETTINGS
+@given(case=ban_cases())
+@example(case=((0, 1, 0, 1), np.array([1.0, 0.0, 0.0]), 2, 2))  # every id banned
+@example(case=((0, 1, 2, 0, 1), np.array([1.0, 1.0, 1.0, 1.0]), 3, 3))
+def test_block_repeated_ngrams_equals_oracle(case):
+    ids, dist, n, eos = case
+    expected = oracle.block_repeated_ngrams(ids, dist, n, eos)
+    assert block_repeated_ngrams(ids, dist, n, eos).tobytes() == expected.tobytes()
 
 
 def test_tie_with_a_finished_hypothesis_keeps_decoding():

@@ -365,6 +365,20 @@ class TestEvaluatePair:
         assert plain.rouge1.f1 == 0.0
         assert stemmed.rouge1.f1 == 1.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        candidate=st.lists(
+            st.sampled_from(["namas", "namai", "namą", "NAMAS", "ir", "kalba", "kalbos"]),
+            max_size=30,
+        ).map(" ".join),
+        stemmer=st.sampled_from(["identity", "lithuanian-light"]),
+    )
+    # stemmed, these are "nam" nine times, over the limit of 7; unstemmed, none is
+    @example(candidate="namas namai namą " * 3, stemmer="lithuanian-light")
+    def test_repetitive_flag_equals_is_repetitive(self, candidate, stemmer):
+        record = evaluate_pair(candidate, "namas kalba", stemmer=stemmer)
+        assert record.repetitive == is_repetitive(candidate)
+
     def test_serializable(self):
         record = evaluate_pair("a b", "a c")
         payload = record.as_dict()

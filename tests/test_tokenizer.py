@@ -231,6 +231,12 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="key 'specials'"):
             Vocabulary.load(path)
 
+    def test_load_names_the_line_of_a_bad_log_prob(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\t-1.0\nb\tabc\n<eos>\t0.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 2: log_prob 'abc' is not a number$"):
+            Vocabulary.load(path)
+
     def test_hash_tracks_content(self):
         one = simple_vocab({"a": -1.0})
         two = simple_vocab({"a": -1.5})
