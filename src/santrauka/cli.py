@@ -10,7 +10,7 @@ All input and output data files are UTF-8 line-delimited JSON. The
 optional value 0 disables --top-k, --top-p, and --no-repeat-ngram-size.
 
 A new option is a RunConfig field and nowhere else: its flag, --config
-key, type check, and render_args form all follow from the field.
+key, type check, render_args form, and command scope follow from it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ __all__ = ["RunConfig", "main", "parse_args", "render_args", "run"]
 #: Tokens of the article body used to prompt the model in the pipeline.
 PIPELINE_PROMPT_TOKENS = 64
 
+#: The commands that read the decoding, filtering, training and scoring fields.
+_DECODING, _FILTERING = ("decode", "pipeline"), ("filter", "stats", "pipeline")
+_TRAINING, _SCORING = ("train-lm", "pipeline"), ("evaluate", "pipeline")
 
-def _option(default, help: str | None = None, **meta):
+
+def _option(default, help: str, **meta):
     """A RunConfig field whose metadata describes its command-line flag."""
     return field(default=default, metadata={"help": help, **meta})
 
@@ -59,40 +63,46 @@ class RunConfig:
     """Fully resolved settings for one CLI invocation.
 
     Each field after ``command`` is the flag ``--field-name``. Its metadata
-    holds the ``help``, the ``type`` where the default is None, any
-    ``choices``, and ``zero_disables`` where a 0 is stored as None (off).
+    holds the ``help``, the ``type`` where the default is None, any ``choices``,
+    ``zero_disables`` where a 0 is stored as None (off), and the ``commands``
+    that read it where not every command does.
     """
 
     command: str
     input: str | None = _option(None, "input data file (line-delimited JSON)", type=str)
     output: str | None = _option(None, "output path; split appends .train/.valid", type=str)
-    model: str | None = _option(None, "trained model file (decode)", type=str)
+    model: str | None = _option(None, "trained model file", type=str, commands=("decode",))
     vocab: str | None = _option(None, "vocabulary file; default derives one from the data",
-                                type=str)
-    seed: int = _option(0, "master seed for all randomness")
-    workers: int = _option(1, "parallel worker count")
-    method: str = _option("beam", "decoding algorithm (default: beam)", choices=METHODS)
-    beam_size: int = _option(10, "hypotheses kept per step (default: 10)")
+                                type=str, commands=_TRAINING)
+    seed: int = _option(0, "master seed for all randomness", commands=("split", *_DECODING))
+    workers: int = _option(1, "parallel worker count", commands=("filter", "stats", *_DECODING))
+    method: str = _option("beam", "decoding algorithm (default: beam)", choices=METHODS,
+                          commands=(*_DECODING, "evaluate"))
+    beam_size: int = _option(10, "hypotheses kept per step (default: 10)", commands=_DECODING)
     top_k: int | None = _option(None, "sample from the k best tokens; 0 disables (default)",
-                                type=int, zero_disables=True)
+                                type=int, zero_disables=True, commands=_DECODING)
     top_p: float | None = _option(None, "sample from the p-mass head; 0 disables (default)",
-                                  type=float, zero_disables=True)
-    temperature: float = _option(1.0, "logit divisor (default: 1.0)")
+                                  type=float, zero_disables=True, commands=_DECODING)
+    temperature: float = _option(1.0, "logit divisor (default: 1.0)", commands=_DECODING)
     no_repeat_ngram_size: int | None = _option(
-        2, "ban repeated n-grams of this size; 0 disables (default: 2)", zero_disables=True
-    )
-    max_length: int = _option(128, "token budget per decode (default: 128)")
+        2, "ban repeated n-grams of this size; 0 disables (default: 2)", zero_disables=True,
+        commands=_DECODING)
+    max_length: int = _option(128, "token budget per decode (default: 128)", commands=_DECODING)
     sample_within_beam: bool = _option(
-        False, "sample beam successors instead of taking them greedily"
-    )
-    ngram_order: int = _option(3)
-    alpha: float = _option(1.0, "additive smoothing strength")
-    n_validation: int = _option(4096)
-    stemmer: str = _option("identity", "identity or lithuanian-light")
-    min_summary_chars: int = _option(10)
-    min_body_chars: int = _option(100)
-    min_ratio: float = _option(2.0)
-    max_overlap_ratio: float = _option(0.2)
+        False, "sample beam successors instead of taking them greedily", commands=_DECODING)
+    ngram_order: int = _option(3, "n-gram model order (default: 3)", commands=_TRAINING)
+    alpha: float = _option(1.0, "additive smoothing strength", commands=_TRAINING)
+    n_validation: int = _option(4096, "articles set aside for validation (default: 4096)",
+                                commands=("split", "pipeline"))
+    stemmer: str = _option("identity", "identity or lithuanian-light", commands=_SCORING)
+    min_summary_chars: int = _option(10, "reject summaries of at most this many chars "
+                                     "(default: 10)", commands=_FILTERING)
+    min_body_chars: int = _option(100, "reject bodies of at most this many chars "
+                                  "(default: 100)", commands=_FILTERING)
+    min_ratio: float = _option(2.0, "reject bodies shorter than this many summary lengths "
+                               "(default: 2.0)", commands=_FILTERING)
+    max_overlap_ratio: float = _option(0.2, "reject summaries with a body substring of at "
+                                       "least this share (default: 0.2)", commands=_FILTERING)
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(**{f.name: getattr(self, f.name) for f in fields(DecodeConfig)})
@@ -108,6 +118,12 @@ class RunConfig:
 
 #: The RunConfig fields that are flags: all but ``command``.
 _OPTIONS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
+
+
+def _scope(command: str) -> dict[str, Field]:
+    """The options ``command`` reads, so its flags and --config keys."""
+    return {name: option for name, option in _OPTIONS.items()
+            if command in option.metadata.get("commands", (command,))}
 
 
 def _flag(option: Field) -> str:
@@ -141,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help) in _COMMANDS.items():
         p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON file with RunConfig overrides")
-        for option in _OPTIONS.values():
+        for option in _scope(command).values():
             if _value_type(option) is bool:
                 p.add_argument(_flag(option), action="store_const", const=True,
                                help=option.metadata["help"])
@@ -155,13 +171,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: list[str]) -> RunConfig:
     """Parse argv into a fully resolved RunConfig.
 
-    Unknown flags, type mismatches, unknown or mistyped config-file keys,
-    non-finite floats, and missing required paths all exit with a usage
-    error (status 2).
+    Flags and config-file keys the command does not read, type mismatches,
+    mistyped config values, non-finite floats, and missing required paths
+    all exit with a usage error (status 2).
     """
     parser = _build_parser()
-    namespace = parser.parse_args(argv)
-    resolved = {"command": namespace.command}
+    namespace, extra = parser.parse_known_args(argv)
+    command, scope = namespace.command, _scope(namespace.command)
+    if extra:
+        parser.error(f"{command} does not take {' '.join(extra)}")
+    resolved = {"command": command}
 
     if namespace.config:
         try:
@@ -171,18 +190,18 @@ def parse_args(argv: list[str]) -> RunConfig:
             parser.error(f"cannot read --config file: {err}")
         if not isinstance(overrides, dict):
             parser.error("--config file must hold a JSON object")
-        unknown = set(overrides) - set(_OPTIONS)
+        unknown = set(overrides) - set(scope)
         if unknown:
-            parser.error(f"unknown keys in --config file: {sorted(unknown)}")
+            parser.error(f"{command} does not take --config keys {sorted(unknown)}")
         for key, value in overrides.items():
-            if not _accepts(_OPTIONS[key], value):
+            if not _accepts(scope[key], value):
                 parser.error(
-                    f"--config key {key!r} must be {_value_type(_OPTIONS[key]).__name__}, "
+                    f"--config key {key!r} must be {_value_type(scope[key]).__name__}, "
                     f"got {json.dumps(value)}"
                 )
         resolved.update(overrides)
 
-    for name, option in _OPTIONS.items():
+    for name, option in scope.items():
         flag_value = getattr(namespace, name)
         if flag_value is not None:
             resolved[name] = flag_value
@@ -213,12 +232,13 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def render_args(config: RunConfig) -> list[str]:
-    """Inverse of parse_args: argv that reproduces ``config`` exactly.
+    """Inverse of parse_args: argv of the command's own flags that reproduces
+    ``config`` exactly when its other fields hold their defaults.
 
     Values go as ``--flag=value``, so one starting with a dash stays a value.
     """
     argv = [config.command]
-    for name, option in _OPTIONS.items():
+    for name, option in _scope(config.command).items():
         value = getattr(config, name)
         if value is None and option.metadata.get("zero_disables"):
             value = 0

@@ -238,9 +238,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The vocabulary of a :meth:`save` file; a malformed line, a duplicate
+        or empty token, or a log-prob that is positive or NaN raises
+        ValueError naming its line."""
         declared: dict | None = None
-        tokens: list[str] = []
-        log_probs: list[float] = []
+        entries: dict[str, float] = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
@@ -255,15 +257,23 @@ class Vocabulary:
                 token, sep, lp = line.partition("\t")
                 if not sep:
                     raise ValueError(f"line {line_no}: expected token<TAB>log_prob")
+                if not token:
+                    raise ValueError(f"line {line_no}: empty token")
+                if token in entries:
+                    raise ValueError(f"line {line_no}: duplicate token {token!r}")
                 try:
-                    log_probs.append(float(lp))
+                    value = float(lp)
                 except ValueError:
                     message = f"line {line_no}: log_prob {lp!r} is not a number"
                     raise ValueError(message) from None
-                tokens.append(token)
+                if not value <= 0:
+                    raise ValueError(f"line {line_no}: log_prob {lp!r} must be <= 0 and not NaN")
+                entries[token] = value
         if declared is None:
-            declared = {role: name for role, name in RESERVED_SPECIALS.items() if name in tokens}
-        return cls.from_dict({"tokens": tokens, "log_probs": log_probs, "specials": declared})
+            declared = {role: name for role, name in RESERVED_SPECIALS.items() if name in entries}
+        return cls.from_dict(
+            {"tokens": list(entries), "log_probs": list(entries.values()), "specials": declared}
+        )
 
 
 @dataclass(frozen=True)

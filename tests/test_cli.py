@@ -1,17 +1,32 @@
+import argparse
+import ast
 import json
 import os
 import re
+import shlex
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from santrauka.cli import COMMANDS, RunConfig, main, parse_args, render_args, run
+from santrauka.cli import (
+    COMMANDS,
+    RunConfig,
+    _build_parser,
+    main,
+    parse_args,
+    render_args,
+    run,
+)
 from santrauka.decode import METHODS
 from santrauka.lm import NGramModel
 from santrauka.tokenizer import Vocabulary
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_jsonl(path, records):
@@ -41,6 +56,103 @@ def synthetic_articles(count, seed=0, source_names=("alpha.lt", "beta.lt")):
             }
         )
     return records
+
+
+#: The flags each command takes, by RunConfig field. Written out here rather
+#: than read from the field metadata, so the two check each other.
+_FILTER_FLAGS = {"input", "output", "workers", "min_summary_chars", "min_body_chars",
+                 "min_ratio", "max_overlap_ratio"}
+SCOPE = {
+    "filter": _FILTER_FLAGS,
+    "stats": _FILTER_FLAGS,
+    "split": {"input", "output", "seed", "n_validation"},
+    "train-lm": {"input", "output", "vocab", "ngram_order", "alpha"},
+    "decode": {"input", "output", "model", "seed", "workers", "method", "beam_size", "top_k",
+               "top_p", "temperature", "no_repeat_ngram_size", "max_length",
+               "sample_within_beam"},
+    "evaluate": {"input", "output", "method", "stemmer"},
+    "pipeline": {"input", "output", "vocab", "seed", "workers", "method", "beam_size",
+                 "top_k", "top_p", "temperature", "no_repeat_ngram_size", "max_length",
+                 "sample_within_beam", "ngram_order", "alpha", "n_validation", "stemmer",
+                 "min_summary_chars", "min_body_chars", "min_ratio", "max_overlap_ratio"},
+}
+
+#: A valid value other than the default for every RunConfig flag.
+FIELD_VALUES = {
+    "input": "in.jsonl", "output": "out.jsonl", "model": "m.json", "vocab": "v.txt",
+    "seed": 3, "workers": 2, "method": "greedy", "beam_size": 4, "top_k": 5, "top_p": 0.5,
+    "temperature": 0.5, "no_repeat_ngram_size": 3, "max_length": 9,
+    "sample_within_beam": True, "ngram_order": 2, "alpha": 0.5, "n_validation": 7,
+    "stemmer": "lithuanian-light", "min_summary_chars": 5, "min_body_chars": 50,
+    "min_ratio": 1.5, "max_overlap_ratio": 0.3,
+}
+
+
+def _required_args(command, but=None):
+    """``command`` with the paths it requires, except the one for field ``but``."""
+    paths = {"input": "i", "output": "o", **({"model": "m"} if command == "decode" else {})}
+    return [command, *(f"--{name}={path}" for name, path in paths.items() if name != but)]
+
+
+class TestCommandScope:
+    def test_tables_cover_every_command_and_field(self):
+        assert set(SCOPE) == set(COMMANDS)
+        assert set(FIELD_VALUES) == {f.name for f in fields(RunConfig)} - {"command"}
+        assert [len(SCOPE[c]) for c in COMMANDS] == [7, 7, 4, 5, 13, 4, 21]
+        assert sum(map(len, SCOPE.values())) == 61
+
+    @pytest.mark.parametrize("name", FIELD_VALUES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_takes_only_the_fields_it_reads(self, tmp_path, capsys, command, name):
+        value = FIELD_VALUES[name]
+        flag = "--" + name.replace("_", "-")
+        flag_argv = [*_required_args(command, but=name), flag if value is True else
+                     f"{flag}={value}"]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({name: value}), encoding="utf-8")
+        config_argv = [*_required_args(command, but=name), "--config", str(config_path)]
+        if name in SCOPE[command]:
+            assert getattr(parse_args(flag_argv), name) == value
+            assert getattr(parse_args(config_argv), name) == value
+            return
+        for argv in (flag_argv, config_argv):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {command} does not take {flag_argv[-1]}\n" in err
+        assert f"error: {command} does not take --config keys [{name!r}]\n" in err
+
+    def test_every_flag_has_help(self):
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        for command, subparser in subparsers.choices.items():
+            for action in subparser._actions:
+                assert action.help, (command, action.option_strings)
+
+
+def _documented_command_lines():
+    """The command lines of the README's "A typical run" block, and the one
+    ``demos/04_full_pipeline.py`` prints, without redirections."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("A typical run:\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    demo = ast.parse((ROOT / "demos" / "04_full_pipeline.py").read_text(encoding="utf-8"))
+    calls = [stmt.value for stmt in demo.body  # module-level calls, in source order
+             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)]
+    printed = "\n".join(
+        call.args[0].value for call in calls
+        if getattr(call.func, "id", None) == "print" and call.args
+        and isinstance(call.args[0], ast.Constant) and isinstance(call.args[0].value, str)
+    )
+    lines += [line for line in printed.replace("\\\n", " ").splitlines()
+              if line.lstrip().startswith("santrauka ")]
+    return [shlex.split(line.split(">")[0])[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", _documented_command_lines(), ids=lambda argv: argv[0])
+def test_documented_command_lines_parse(argv):
+    assert parse_args(argv).command == argv[0]
 
 
 class TestParseArgs:
@@ -137,7 +249,7 @@ class TestConfigFilePrecedence:
         )
         config = parse_args(
             [
-                "filter", "--input", "i", "--output", "o",
+                "pipeline", "--input", "i", "--output", "o",
                 "--config", str(config_path), "--temperature", "0.8",
             ]
         )
@@ -180,7 +292,7 @@ class TestConfigFilePrecedence:
     def write_config(self, tmp_path, text):
         config_path = tmp_path / "run.json"
         config_path.write_text(text, encoding="utf-8")
-        return ["filter", "--input", "i", "--output", "o", "--config", str(config_path)]
+        return ["pipeline", "--input", "i", "--output", "o", "--config", str(config_path)]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -269,6 +381,8 @@ _run_configs = st.builds(
     max_overlap_ratio=st.floats(min_value=0, max_value=1),
 ).filter(
     lambda c: (c.output or c.command == "stats") and (c.model or c.command != "decode")
+).map(  # the fields a command does not read keep their defaults
+    lambda c: RunConfig(c.command, **{name: getattr(c, name) for name in SCOPE[c.command]})
 )
 
 
@@ -279,9 +393,10 @@ class TestRenderRoundTrip:
                   top_k=50, method="beam", sample_within_beam=True, seed=3),
         RunConfig(command="pipeline", input="i", output="o", vocab="v",
                   top_p=0.9, temperature=0.25, no_repeat_ngram_size=None,
-                  n_validation=16, stemmer="lithuanian-light", workers=2),
-        RunConfig(command="evaluate", input="i", output="o", method="sample",
+                  n_validation=16, stemmer="lithuanian-light", workers=2,
                   max_length=12, alpha=0.0, min_ratio=3.5),
+        RunConfig(command="evaluate", input="i", output="o", method="sample",
+                  stemmer="lithuanian-light"),
     ]
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.command)
@@ -290,7 +405,7 @@ class TestRenderRoundTrip:
 
     @settings(max_examples=200, deadline=None)
     @given(config=_run_configs)
-    @example(config=RunConfig(command="filter", input="-a.jsonl", output="--o",
+    @example(config=RunConfig(command="pipeline", input="-a.jsonl", output="--o",
                               stemmer="--x", alpha=-1.5))
     def test_round_trip_property(self, config):
         assert parse_args(render_args(config)) == config
@@ -486,15 +601,22 @@ class TestTrainAndDecodeCommands:
 
     def test_bad_vocab_log_prob_is_a_data_error(self, tmp_path, capsys):
         vocab_path = tmp_path / "bad.vocab"
-        vocab_path.write_text("a\t-1.0\nb\tabc\n<eos>\t0.0\n", encoding="utf-8")
         input_path = write_jsonl(tmp_path / "train.jsonl", synthetic_articles(5))
         output_path = tmp_path / "model.json"
-        assert main(["train-lm", "--input", input_path, "--output", str(output_path),
-                     "--vocab", str(vocab_path)]) == 1
-        err = capsys.readouterr().err
-        assert "error: data: line 2: log_prob 'abc' is not a number" in err
-        assert "Traceback" not in err
-        assert not output_path.exists()
+        for text, message in [
+            ("a\t-1.0\nb\tabc\n<eos>\t0.0\n", "line 2: log_prob 'abc' is not a number"),
+            ("a\t-1.0\n<eos>\t0.0\na\t-2.0\n", "line 3: duplicate token 'a'"),
+            ("a\t0.5\n<eos>\t0.0\n", "line 1: log_prob '0.5' must be <= 0 and not NaN"),
+            ("a\t-1.0\nb\tNaN\n<eos>\t0.0\n", "line 2: log_prob 'NaN' must be <= 0"),
+            ("a\t-1.0\n\t-2.0\n<eos>\t0.0\n", "line 2: empty token"),
+        ]:
+            vocab_path.write_text(text, encoding="utf-8")
+            assert main(["train-lm", "--input", input_path, "--output", str(output_path),
+                         "--vocab", str(vocab_path)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: data: {message}" in err
+            assert "Traceback" not in err
+            assert not output_path.exists()
 
     def test_missing_model_fails_without_output(self, tmp_path):
         requests = write_jsonl(tmp_path / "req.jsonl", [{"id": 1, "prompt": "x"}])

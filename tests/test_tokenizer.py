@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import unicodedata
 
@@ -233,9 +234,17 @@ class TestVocabulary:
 
     def test_load_names_the_line_of_a_bad_log_prob(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        path.write_text("a\t-1.0\nb\tabc\n<eos>\t0.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^line 2: log_prob 'abc' is not a number$"):
-            Vocabulary.load(path)
+        for text, message in [
+            ("a\t-1.0\nb\tabc\n<eos>\t0.0\n", "line 2: log_prob 'abc' is not a number"),
+            ("a\t-1.0\na\t-2.0\n<eos>\t0.0\n", "line 2: duplicate token 'a'"),
+            ("a\t-1.0\n<eos>\t0.0\nb\t0.5\n", "line 3: log_prob '0.5' must be <= 0 and not NaN"),
+            ('{"eos": "<eos>"}\na\tnan\n<eos>\t0.0\n',
+             "line 2: log_prob 'nan' must be <= 0 and not NaN"),
+            ("a\t-1.0\n\t-2.0\n<eos>\t0.0\n", "line 2: empty token"),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Vocabulary.load(path)
 
     def test_hash_tracks_content(self):
         one = simple_vocab({"a": -1.0})
