@@ -145,7 +145,8 @@ def _accepts(option: Field, value: object) -> bool:
     return isinstance(value, kind) or (kind is float and isinstance(value, int))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, by command name."""
     parser = argparse.ArgumentParser(
         prog="santrauka",
         description="Corpus filtering, n-gram language modeling, sequence "
@@ -154,8 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "values, then explicit flags.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    subparsers = {}
     for command, (_, help) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help)
+        p = subparsers[command] = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON file with RunConfig overrides")
         for option in _scope(command).values():
             if _value_type(option) is bool:
@@ -165,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(_flag(option), type=_value_type(option),
                                choices=option.metadata.get("choices"),
                                help=option.metadata["help"])
-    return parser
+    return parser, subparsers
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -175,11 +177,13 @@ def parse_args(argv: list[str]) -> RunConfig:
     mistyped config values, non-finite floats, and missing required paths
     all exit with a usage error (status 2).
     """
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     namespace, extra = parser.parse_known_args(argv)
     command, scope = namespace.command, _scope(namespace.command)
+    # scope errors print the command's own usage line, with its flags
+    own_parser = subparsers[command]
     if extra:
-        parser.error(f"{command} does not take {' '.join(extra)}")
+        own_parser.error(f"{command} does not take {' '.join(extra)}")
     resolved = {"command": command}
 
     if namespace.config:
@@ -192,7 +196,7 @@ def parse_args(argv: list[str]) -> RunConfig:
             parser.error("--config file must hold a JSON object")
         unknown = set(overrides) - set(scope)
         if unknown:
-            parser.error(f"{command} does not take --config keys {sorted(unknown)}")
+            own_parser.error(f"{command} does not take --config keys {sorted(unknown)}")
         for key, value in overrides.items():
             if not _accepts(scope[key], value):
                 parser.error(

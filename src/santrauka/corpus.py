@@ -18,7 +18,6 @@ to O(len(a) * len(b) * L) character comparisons for a shared length L.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -45,8 +44,6 @@ __all__ = [
     "to_json_line",
 ]
 
-_WS_RUN = re.compile(r"\s+")
-
 ARTICLE_KEYS = {"source", "url", "published_at", "summary", "body"}
 REQUIRED_KEYS = {"source", "summary", "body"}
 
@@ -65,8 +62,12 @@ REJECT_REASONS = (
 
 
 def normalize_whitespace(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim the ends."""
-    return _WS_RUN.sub(" ", text).strip()
+    """Collapse whitespace runs to single spaces and trim the ends.
+
+    Whitespace is what ``str.isspace`` accepts, the same set as ``\\s``
+    in a ``str`` regular expression.
+    """
+    return " ".join(text.split())
 
 
 @dataclass

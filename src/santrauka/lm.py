@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from abc import ABC, abstractmethod
+from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -276,9 +277,13 @@ def train_ngram(
     Streams may be TokenSequence objects (the vocabulary is taken from
     them) or plain id sequences with ``vocab`` passed explicitly. Every
     sequence contributes one window per token plus a terminal eos event.
+    Each stream, padded with begin markers in front and eos at the end,
+    adds its ``order``-wide windows to one ``Counter``; the windows are
+    then grouped by context.
     """
     _check_order_alpha(order, alpha)
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    windows: Counter[tuple[int, ...]] = Counter()
+    begin = (BEGIN,) * (order - 1)
     seen_any = False
     for stream in streams:
         if isinstance(stream, TokenSequence):
@@ -289,15 +294,13 @@ def train_ngram(
         elif vocab is None:
             raise ValueError("vocab is required when streams are plain id sequences")
         seen_any = True
-        ids = token_ids(stream)
-        context = (BEGIN,) * (order - 1)
-        for tok in ids + (vocab.eos_id,):
-            bucket = counts.setdefault(context, {})
-            bucket[tok] = bucket.get(tok, 0) + 1
-            if order > 1:
-                context = context[1:] + (tok,)
+        ids = begin + token_ids(stream) + (vocab.eos_id,)
+        windows.update(zip(*(ids[k:] for k in range(order))))
     if not seen_any:
         raise ValueError("cannot train on an empty corpus")
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for window, count in windows.items():
+        counts.setdefault(window[:-1], {})[window[-1]] = count
     return NGramModel(vocab, order, alpha, counts)
 
 

@@ -38,6 +38,8 @@ __all__ = [
 
 RESERVED_SPECIALS = {"eos": "<eos>", "unk": "<unk>", "pad": "<pad>"}
 
+_UNCOVERED = "text cannot be segmented: uncovered characters and no unk token defined"
+
 
 def _is_punct(ch: str) -> bool:
     # no alphanumeric code point has a P* category; skip the lookup for them
@@ -128,6 +130,8 @@ class Vocabulary:
         return token in self._index
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Vocabulary):
             return NotImplemented
         return (
@@ -311,12 +315,26 @@ def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
     unknown token each (scored with unk's log-prob); unknown emissions
     are used only where unavoidable. Ties are broken toward fewer
     tokens, then the lexicographically smallest id sequence.
+
+    A vocabulary whose surface tokens are single characters (such as
+    :func:`char_vocabulary` builds) takes a direct per-character map to
+    its token, else unk. That is the lattice's answer: options rank by
+    unk count first, so a covered character's own token always beats
+    unk, and no other option exists.
     """
     if not text:
         return TokenSequence((), vocab)
+    unk = vocab.unk_id
+    if vocab.max_token_len <= 1:
+        lookup = vocab._surface_index.get
+        # a list, not a generator: a tuple grown from an iterator is resized
+        # as it grows, which fragments the heap and raises peak memory
+        ids = tuple([lookup(ch, unk) for ch in text])
+        if unk is None and None in ids:
+            raise ValueError(_UNCOVERED)
+        return TokenSequence(ids, vocab)
     n = len(text)
     log_probs = vocab.log_probs
-    unk = vocab.unk_id
     unk_lp = float(log_probs[unk]) if unk is not None else 0.0
     max_len = vocab.max_token_len
 
@@ -344,9 +362,7 @@ def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
                 best = option
         tails[i] = best
     if tails[0] is None:
-        raise ValueError(
-            "text cannot be segmented: uncovered characters and no unk token defined"
-        )
+        raise ValueError(_UNCOVERED)
     ids = []
     pos = 0
     while pos < n:

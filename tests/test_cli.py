@@ -1,4 +1,3 @@
-import argparse
 import ast
 import json
 import os
@@ -124,12 +123,24 @@ class TestCommandScope:
         assert f"error: {command} does not take --config keys [{name!r}]\n" in err
 
     def test_every_flag_has_help(self):
-        parser = _build_parser()
-        (subparsers,) = [a for a in parser._actions
-                         if isinstance(a, argparse._SubParsersAction)]
-        for command, subparser in subparsers.choices.items():
+        _, subparsers = _build_parser()
+        assert set(subparsers) == set(COMMANDS)
+        for command, subparser in subparsers.items():
             for action in subparser._actions:
                 assert action.help, (command, action.option_strings)
+
+    def test_scope_errors_show_the_commands_own_usage(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"beam_size": 3}), encoding="utf-8")
+        for extra in (["--beam-size", "3"], ["--config", str(config_path)]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["filter", "--input", "i", "--output", "o", *extra])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: santrauka filter ")
+            usage = err.partition("santrauka filter: error:")[0]
+            assert "--min-ratio" in usage and "--beam-size" not in usage
+        assert err.endswith("error: filter does not take --config keys ['beam_size']\n")
 
 
 def _documented_command_lines():

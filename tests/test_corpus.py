@@ -1,6 +1,8 @@
 import io
 import json
+import re
 import string
+import sys
 from datetime import date
 
 import numpy as np
@@ -185,6 +187,23 @@ class TestFilterArticle:
         article = make_article("abcdefghijk", _distinct_body(250))
         first = filter_article(article, self.CONFIG)
         assert filter_article(article, self.CONFIG) == first
+
+
+class TestNormalizeWhitespace:
+    #: Common and rare whitespace, each accepted by both re's \s and str.isspace
+    SPACES = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 "
+
+    @given(st.text(alphabet=st.sampled_from("ab" + SPACES)))
+    def test_matches_regex_collapse(self, text):
+        assert normalize_whitespace(text) == re.sub(r"\s+", " ", text).strip()
+
+    def test_isspace_is_regex_whitespace(self):
+        space = re.compile(r"\s")
+        mismatched = [
+            hex(cp) for cp in range(sys.maxunicode + 1)
+            if bool(space.fullmatch(chr(cp))) != chr(cp).isspace()
+        ]
+        assert mismatched == []
 
 
 _json_values = st.recursive(

@@ -19,7 +19,7 @@ from santrauka.lm import (
     softmax,
     train_ngram,
 )
-from santrauka.tokenizer import TokenSequence, Vocabulary
+from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
 
 
 def ab_vocab():
@@ -30,6 +30,20 @@ def ab_model(order=2, alpha=0.0):
     vocab = ab_vocab()
     stream = TokenSequence((0, 1, 0, 1), vocab)  # a b a b
     return train_ngram([stream], order, alpha)
+
+
+def loop_counts(streams, order, vocab):
+    """n-gram counts by the per-token loop train_ngram once ran: the oracle
+    for its Counter windows."""
+    counts = {}
+    for stream in streams:
+        context = (BEGIN,) * (order - 1)
+        for tok in token_ids(stream) + (vocab.eos_id,):
+            bucket = counts.setdefault(context, {})
+            bucket[tok] = bucket.get(tok, 0) + 1
+            if order > 1:
+                context = context[1:] + (tok,)
+    return counts
 
 
 def entropy(dist):
@@ -105,6 +119,20 @@ class TestTrainNgram:
             [TokenSequence((0,), one), TokenSequence((1,), two)], 2, 1.0
         )
         assert model.counts[(BEGIN,)] == {0: 1, 1: 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(order=st.integers(1, 5), wrap=st.booleans(),
+           streams=st.lists(st.lists(st.integers(0, 2), max_size=9), min_size=1, max_size=5))
+    @example(order=3, wrap=False, streams=[[], [0], []])
+    def test_counts_match_the_per_token_loop(self, order, wrap, streams):
+        vocab = ab_vocab()
+        if wrap:
+            model = train_ngram([TokenSequence(tuple(s), vocab) for s in streams], order, 1.0)
+        else:
+            model = train_ngram(streams, order, 1.0, vocab=vocab)
+        # equal in insertion order too, contexts and tokens alike
+        as_lists = lambda counts: [(ctx, list(b.items())) for ctx, b in counts.items()]
+        assert as_lists(model.counts) == as_lists(loop_counts(streams, order, vocab))
 
 
 class TestNextDistribution:

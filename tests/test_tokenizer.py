@@ -5,7 +5,7 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from santrauka.tokenizer import (
@@ -65,14 +65,27 @@ def ranked_segmentations(text, vocab):
         yield ids.count(vocab.unk_id), -score, len(ids), ids
 
 
+def assert_matches_ranked_brute_force(text, vocab):
+    """viterbi_segment gives the least-ranked split, or, where there is none,
+    raises the uncovered-text error."""
+    best = min(ranked_segmentations(text, vocab), default=None)
+    if best is None:
+        message = "^text cannot be segmented: uncovered characters and no unk token defined$"
+        with pytest.raises(ValueError, match=message):
+            viterbi_segment(text, vocab)
+    else:
+        assert viterbi_segment(text, vocab).ids == best[3]
+
+
 #: Log-probs whose sums over a few tokens are exact, so ties are real ties.
 _dyadic = st.sampled_from([0.0, -0.5, -1.0, -2.0])
 
 
 @st.composite
 def _subword_vocabs(draw):
-    pieces = draw(st.lists(st.text("abą", min_size=1, max_size=3),
-                           min_size=1, max_size=7, unique=True))
+    # at least one piece of 2+ characters, so segmentation runs the lattice
+    pieces = draw(st.lists(st.text("abą", min_size=1, max_size=3), min_size=1,
+                           max_size=7, unique=True).filter(lambda ps: max(map(len, ps)) > 1))
     tokens = pieces + ["<eos>"]
     log_probs = [draw(_dyadic) for _ in pieces] + [0.0]
     unk = draw(st.booleans())
@@ -80,6 +93,19 @@ def _subword_vocabs(draw):
         tokens.append("<unk>")
         log_probs.append(draw(_dyadic))
     return Vocabulary(tokens, log_probs, eos="<eos>", unk="<unk>" if unk else None)
+
+
+@st.composite
+def _char_vocabs(draw):
+    """Vocabularies whose surface tokens are single characters, possibly
+    none; eos or unk may be a one-character special, which never matches."""
+    surface = draw(st.lists(st.sampled_from("abąz"), max_size=4, unique=True))
+    spare = [ch for ch in "abąz" if ch not in surface]
+    eos = draw(st.sampled_from(["<eos>", *spare]))
+    unk = draw(st.sampled_from([None, "<unk>", *(ch for ch in spare if ch != eos)]))
+    tokens = draw(st.permutations([*surface, eos, *([unk] if unk else [])]))
+    log_probs = [draw(_dyadic) for _ in tokens]
+    return Vocabulary(tokens, log_probs, eos=eos, unk=unk)
 
 
 def category_word_tokenize(text, lowercase=False):
@@ -344,12 +370,17 @@ class TestViterbiSegment:
     @settings(max_examples=400, deadline=None)
     @given(vocab=_subword_vocabs(), text=st.text("abąz", max_size=7))
     def test_matches_ranked_brute_force(self, vocab, text):
-        best = min(ranked_segmentations(text, vocab), default=None)
-        if best is None:
-            with pytest.raises(ValueError, match="cannot be segmented"):
-                viterbi_segment(text, vocab)
-        else:
-            assert viterbi_segment(text, vocab).ids == best[3]
+        assert vocab.max_token_len > 1
+        assert_matches_ranked_brute_force(text, vocab)
+
+    @settings(max_examples=400, deadline=None)
+    @given(vocab=_char_vocabs(), text=st.text("abąz", max_size=8))
+    # no surface token at all: a one-character unk covers everything, or nothing does
+    @example(vocab=Vocabulary(["<eos>", "a"], [0.0, -1.0], eos="<eos>", unk="a"), text="aba")
+    @example(vocab=Vocabulary(["a"], [0.0], eos="a"), text="a")
+    def test_character_vocabulary_matches_ranked_brute_force(self, vocab, text):
+        assert vocab.max_token_len <= 1
+        assert_matches_ranked_brute_force(text, vocab)
 
     def test_round_trip_on_covered_text(self):
         rng = np.random.default_rng(31)
