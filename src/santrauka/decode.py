@@ -18,10 +18,17 @@ Each step scores every live hypothesis, prompt plus generated ids, with
 one ``next_logits_batch`` call and shapes the rows together; every row is
 bit-identical to shaping that hypothesis alone. The n-gram ban reads the
 generated ids only, so n-grams of the prompt never ban a token.
+
+Selection never sorts a step's candidates. Each row's successors come
+ranked most probable first, so their scores never rise along the row; a
+heap merges the rows and stops once ``width`` are live, so only the
+candidates it reaches are scored, each with ``math.log`` on a Python
+float. The pool and every output equal those of a full sort.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -212,8 +219,8 @@ def _banned(ids: tuple[int, ...], n: int) -> list[int]:
 def _ban_rows(dist: np.ndarray, banned: list, eos_id: int) -> np.ndarray:
     """Zero each row's banned ids and renormalize, in place; a row left
     with no mass becomes eos."""
-    for row, tokens in zip(dist, banned):
-        row[list(tokens)] = 0.0
+    rows = [i for i, tokens in enumerate(banned) for _ in tokens]
+    dist[rows, [t for tokens in banned for t in tokens]] = 0.0
     totals = dist.sum(axis=1, keepdims=True)
     if totals.min() <= 0.0:
         empty = totals[:, 0] <= 0.0
@@ -262,10 +269,12 @@ def _best_successors(dist: np.ndarray, width: int) -> list[list[int]]:
 def _sampled_successors(
     dist: np.ndarray, count: int, rng: np.random.Generator
 ) -> list[int]:
+    """Seeded draws without replacement, ranked as :func:`_by_probability`
+    ranks them, most probable first."""
     support = int(np.count_nonzero(dist))
     size = min(count, support)
     picks = rng.choice(dist.size, size=size, replace=False, p=dist / dist.sum())
-    return sorted(int(t) for t in picks)
+    return sorted(picks.tolist(), key=lambda t: (-dist[t], t))
 
 
 def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -278,6 +287,85 @@ def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
     return idx
 
 
+def _run_end(
+    base: float, row: list[float], tokens: list[int], start: int, neg_score: float
+) -> tuple[int, float]:
+    """End of the run of successors from ``tokens[start]`` that share its
+    negated score, and the negated score after the run.
+
+    ``tokens`` are ranked most probable first, so scores never rise along
+    them, and tokens of equal probability already ascend. Yet unequal
+    probabilities can round to one score, where the lower token must go
+    first, so a run that mixes probabilities is sorted in place. Only a
+    change of probability costs a log.
+    """
+    stop, p, mixed, following = start + 1, row[tokens[start]], False, neg_score
+    while stop < len(tokens):
+        q = row[tokens[stop]]
+        if q != p:
+            following = -(base + math.log(q))
+            if following != neg_score:
+                break
+            p, mixed = q, True
+        stop += 1
+    if mixed:
+        tokens[start:stop] = sorted(tokens[start:stop])
+    return stop, following
+
+
+def _select(
+    live: list[Hypothesis],
+    rows: list[list[float]],
+    picks: list[list[int]],
+    width: int,
+    eos: int,
+    finished: list[Hypothesis],
+) -> tuple[list[Hypothesis], float]:
+    """The ``width`` best unfinished successors, in search order, and the
+    best score among the eos successors, which all go to ``finished``.
+
+    Search order is by score, then parent ids, then token; live ids share
+    one length, so (parent ids, token) orders as the successor's ids
+    would, without building them. Each row's picks come ranked, so a heap
+    over the rows' next successors yields them in that order, and only
+    the successors it reaches pay for a log and a tuple.
+    """
+    heap, runs = [], []
+    best_finished = -math.inf
+    for i, (hyp, row, tokens) in enumerate(zip(live, rows, picks)):
+        if eos in tokens:
+            score = hyp.log_prob + math.log(row[eos])
+            finished.append(Hypothesis(hyp.ids + (eos,), score, True))
+            best_finished = max(best_finished, score)
+            tokens = [t for t in tokens if t != eos]
+        if tokens:
+            heap.append((-(hyp.log_prob + math.log(row[tokens[0]])), hyp.ids, tokens[0], i, 0))
+        # the row's tokens, the end of its measured run, the score after it
+        runs.append([tokens, 0, 0.0])
+    heapq.heapify(heap)
+    selected: list[Hypothesis] = []
+    while heap:
+        neg_score, ids, token, i, j = heap[0]
+        run = runs[i]
+        tokens = run[0]
+        if j == run[1]:
+            # token j starts a run of equal scores: measure the run before
+            # taking any of it, as sorting it may put a lower token first
+            run[1], run[2] = _run_end(live[i].log_prob, rows[i], tokens, j, neg_score)
+            if tokens[j] != token:
+                heapq.heapreplace(heap, (neg_score, ids, tokens[j], i, j))
+                continue
+        selected.append(Hypothesis(ids + (token,), -neg_score, False))
+        if len(selected) == width:
+            break
+        j += 1
+        if j < len(tokens):
+            heapq.heapreplace(heap, (neg_score if j < run[1] else run[2], ids, tokens[j], i, j))
+        else:
+            heapq.heappop(heap)
+    return selected, best_finished
+
+
 def _search(
     model: LanguageModel, prompt, config: DecodeConfig
 ) -> tuple[DecodeResult, list[Hypothesis]]:
@@ -286,7 +374,9 @@ def _search(
     Each step scores every live hypothesis with one batched model call,
     extends each by its most probable ids, or by seeded draws on sampling
     paths, and keeps the ``width`` best unfinished candidates. Ordering is
-    by score, then by lexicographically smaller ids.
+    by score, then by lexicographically smaller ids. Every eos successor
+    is finished at once; the rest meet in :func:`_select`'s lazy merge,
+    which stops as soon as ``width`` are live.
     """
     beam = config.method == "beam"
     width = config.beam_size if beam else 1
@@ -311,20 +401,8 @@ def _search(
             picks = [_sampled_successors(row, width, rng) for row in dist]
         else:
             picks = [[_sample_index(row, rng)] for row in dist]
-        # live ids share one length, so (parent ids, token) orders as the
-        # candidate's ids would, without building them
-        candidates = sorted(
-            (-(hyp.log_prob + math.log(row[token])), hyp.ids, token)
-            for hyp, row, tokens in zip(live, dist.tolist(), picks)
-            for token in tokens
-        )
-        live = []
-        for neg_log_prob, ids, token in candidates:
-            if token == eos:
-                finished.append(Hypothesis(ids + (token,), -neg_log_prob, True))
-                best_finished = max(best_finished, -neg_log_prob)
-            elif len(live) < width:
-                live.append(Hypothesis(ids + (token,), -neg_log_prob, False))
+        live, best = _select(live, dist.tolist(), picks, width, eos, finished)
+        best_finished = max(best_finished, best)
         if live and best_finished > live[0].log_prob:
             # every step adds log p <= 0, so no live hypothesis can reach
             # the best finished score; on a tie the id order could still

@@ -120,7 +120,15 @@ def _check_order_alpha(order: int, alpha: float) -> None:
 
 
 class NGramModel(LanguageModel):
-    """Count-based conditional model of fixed order with additive smoothing."""
+    """Count-based conditional model of fixed order with additive smoothing.
+
+    The log row of a context is computed on its first call and kept: the
+    model never changes, so a kept row never goes stale. Every context
+    without counts shares one uniform row, which bounds the kept rows at
+    (observed contexts + 1) x V floats. With ``alpha=0`` such a context
+    has no distribution and raises :class:`UnseenContextError` on every
+    call.
+    """
 
     def __init__(
         self,
@@ -135,8 +143,11 @@ class NGramModel(LanguageModel):
         self._alpha = float(alpha)
         self._counts = {}
         self._totals = {}
-        #: context -> (token ids, counts) as arrays, for the batched fill
+        #: context -> (token ids, counts) as arrays, for filling a row
         self._rows = {}
+        #: context -> log row, filled on first use; None keys the shared
+        #: row of every context without counts
+        self._log_rows: dict[tuple[int, ...] | None, np.ndarray] = {}
         size = len(vocab)
         for ctx, bucket in counts.items():
             if len(ctx) != order - 1:
@@ -184,35 +195,43 @@ class NGramModel(LanguageModel):
         tail = tuple(map(int, ids[-width:]))
         return (BEGIN,) * (width - len(tail)) + tail
 
-    def _probs_batch(self, prefixes: Sequence) -> np.ndarray:
+    def _probs(self, ctx: tuple[int, ...]) -> np.ndarray:
         size = len(self._vocab)
-        smoothing = self._alpha * size
-        probs = np.full((len(prefixes), size), self._alpha, dtype=float)
-        denoms = []
-        for row, prefix in zip(probs, prefixes):
-            ctx = self.context_of(prefix)
-            total = self._totals.get(ctx, 0)
-            if total:
-                tokens, values = self._rows[ctx]
-                row[tokens] += values
-            denom = total + smoothing
-            if denom == 0:
-                raise UnseenContextError(
-                    f"context {ctx} never observed and alpha=0 leaves it undefined"
-                )
-            denoms.append(denom)
-        probs /= np.array(denoms)[:, None]
-        return probs
+        total = self._totals.get(ctx, 0)
+        denom = total + self._alpha * size
+        if denom == 0:
+            raise UnseenContextError(
+                f"context {ctx} never observed and alpha=0 leaves it undefined"
+            )
+        row = np.full(size, self._alpha)
+        if total:
+            tokens, values = self._rows[ctx]
+            row[tokens] += values
+        row /= denom
+        return row
+
+    def _log_row(self, ctx: tuple[int, ...]) -> np.ndarray:
+        row = self._log_rows.get(ctx)
+        if row is None:
+            key = ctx if self._totals.get(ctx) else None
+            row = self._log_rows.get(key)
+            if row is None:
+                with np.errstate(divide="ignore"):
+                    row = np.log(self._probs(ctx))
+                row.flags.writeable = False
+                self._log_rows[key] = row
+        return row
 
     def next_distribution(self, prefix) -> np.ndarray:
-        return self._probs_batch([prefix])[0]
+        return self._probs(self.context_of(prefix))
 
     def next_logits_batch(self, prefixes: Sequence) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self._probs_batch(prefixes))
+        rows = [self._log_row(self.context_of(p)) for p in prefixes]
+        # the reshape gives an empty batch its (0 x V) shape
+        return np.array(rows).reshape(len(rows), len(self._vocab))
 
     def next_logits(self, prefix) -> np.ndarray:
-        return self.next_logits_batch([prefix])[0]
+        return self._log_row(self.context_of(prefix)).copy()
 
     def to_dict(self) -> dict:
         return {

@@ -5,6 +5,8 @@ does the same floating-point operations in the same order, only on a
 whole beam's rows at once and with fewer steps.
 """
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,8 @@ from santrauka.decode import (
     sample_decode,
 )
 from santrauka.fixtures import greedy_trap_model
-from santrauka.lm import LanguageModel, TableModel, train_ngram
-from santrauka.tokenizer import TokenSequence, Vocabulary
+from santrauka.lm import LanguageModel, TableModel, softmax, train_ngram
+from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -108,10 +110,45 @@ def prompt_for(model, data):
     return tuple(data.draw(st.lists(st.integers(0, size - 1), max_size=4)))
 
 
+def table(real_tokens, start, transitions):
+    return TableModel(make_vocab(real_tokens), start, transitions)
+
+
+# every weight tied: ranking the draws of a sampled beam is all id order
+UNIFORM = table(3, [0.25] * 4, {t: [0.25] * 4 for t in range(4)})
+# tied weights where the likelier draws are not the lower ids, so a sampled
+# beam must rank its draws before the merge
+TIED_TWO = table(2, [0.25, 0.5, 0.25], {
+    0: [0.4, 0.4, 0.2], 1: [0.25, 0.75, 0.0], 2: [1 / 3, 1 / 3, 1 / 3],
+})
+TIED_THREE = table(3, [2 / 7, 3 / 7, 0.0, 2 / 7], {
+    0: [0.4, 0.2, 0.0, 0.4], 1: [0.25] * 4, 2: [0.0, 0.0, 0.0, 1.0], 3: [0.0, 0.5, 0.5, 0.0],
+})
+# beam 2: (0, eos) ranks third at step 2, below both live successors, and
+# still wins at -1.49 once the live scores fall under it
+EOS_BELOW_CUT = table(3, [0.5, 0.4, 0.1, 0.0], {
+    0: [0.0, 0.55, 0.0, 0.45],
+    1: [0.1, 0.0, 0.9, 0.0],
+    2: [0.5, 0.5, 0.0, 0.0],
+    3: [0.25] * 4,
+})
+
+
 @PROPERTY_SETTINGS
-@given(model=models, config=configs, data=st.data())
-def test_beam_search_equals_full_budget_oracle(model, config, data):
-    prompt = prompt_for(model, data)
+@given(model=models, config=configs, prompt=st.lists(st.integers(0, 5), max_size=4))
+@example(model=UNIFORM, prompt=[],
+         config=DecodeConfig(method="beam", beam_size=3, sample_within_beam=True,
+                             max_length=4, seed=7))
+@example(model=TIED_TWO, prompt=[],
+         config=DecodeConfig(method="beam", beam_size=2, sample_within_beam=True,
+                             max_length=3, seed=6))
+@example(model=TIED_THREE, prompt=[],
+         config=DecodeConfig(method="beam", beam_size=3, sample_within_beam=True,
+                             max_length=3, seed=5))
+@example(model=EOS_BELOW_CUT, prompt=[],
+         config=DecodeConfig(method="beam", beam_size=2, max_length=6))
+def test_beam_search_equals_full_budget_oracle(model, config, prompt):
+    prompt = tuple(t % len(model.vocab) for t in prompt)
     counted = CountingModel(model)
     result, pool = beam_search(counted, prompt, config, return_all=True)
     reference = CountingModel(model)
@@ -123,6 +160,55 @@ def test_beam_search_equals_full_budget_oracle(model, config, data):
     assert set(pool) <= set(expected)
     assert pool == sorted(pool, key=lambda h: (-h.log_prob, h.ids))
     assert counted.rows <= reference.rows
+
+
+def test_eos_below_the_cut_lands_in_the_pool():
+    config = DecodeConfig(method="beam", beam_size=2, max_length=6)
+    result, pool = beam_search(EOS_BELOW_CUT, (), config, return_all=True)
+    eos = EOS_BELOW_CUT.vocab.eos_id
+    assert result.tokens.ids == (0, eos)
+    assert pool[0] == oracle.beam_search(EOS_BELOW_CUT, (), config)[0]
+
+
+class LogitTable(LanguageModel):
+    """Logit rows by last id, for probabilities no table of weights gives."""
+
+    def __init__(self, vocab, start, rows):
+        self._vocab, self.start, self.rows = vocab, start, rows
+
+    @property
+    def vocab(self):
+        return self._vocab
+
+    def next_logits(self, prefix):
+        ids = token_ids(prefix)
+        return np.array(self.rows[ids[-1]] if ids else self.start)
+
+
+def test_one_ulp_apart_probabilities_with_one_score_take_the_lower_token():
+    # after token 0, token 3 is one ulp likelier than token 2, yet behind
+    # the score of (0,) both round to one score, where search order takes
+    # the lower token: beam 3 keeps (1, 1), (0, 0) and (0, 2), not (0, 3)
+    vocab = make_vocab(4)
+    eos = vocab.eos_id
+    low = -1.9984
+    after_zero = [0.0, -6.0, low, float(np.nextafter(low, 0.0)), -4.0]
+    only_one = [-9.0, 0.0, -9.0, -9.0, -9.0]
+    only_eos = [-9.0, -9.0, -9.0, -9.0, 0.0]
+    model = LogitTable(vocab, [0.0, -0.2, -9.0, -9.0, -3.0],
+                       {0: after_zero, 1: only_one, 2: only_eos, 3: only_eos, eos: only_eos})
+    base = math.log(softmax(model.next_logits(()))[0])
+    p = softmax(model.next_logits((0,)))
+    assert p[3] == np.nextafter(p[2], 1.0)
+    assert math.log(p[3]) != math.log(p[2])
+    assert base + math.log(p[3]) == base + math.log(p[2])
+    config = DecodeConfig(method="beam", beam_size=3, max_length=3)
+    result, pool = beam_search(model, (), config, return_all=True)
+    expected = oracle.beam_search(model, (), config)
+    assert pool == expected
+    assert (0, 2, eos) in [h.ids for h in pool]
+    assert (0, 3, eos) not in [h.ids for h in pool]
+    assert result.tokens.ids == expected[0].ids
 
 
 @PROPERTY_SETTINGS

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from santrauka.corpus import FilterConfig
-from santrauka.decode import DecodeConfig
+from santrauka.decode import DecodeConfig, batch_decode
 from santrauka.lm import (
     BEGIN,
     NGramModel,
@@ -192,6 +192,88 @@ class TestNextDistribution:
         assert np.isneginf(logits[0])
 
 
+def memo_model(order, alpha):
+    vocab = Vocabulary(["a", "b", "c", "<eos>"], [-1.0] * 4, eos="<eos>")
+    streams = [TokenSequence(ids, vocab) for ids in [(0, 1, 0, 1), (1, 1, 2), (2,)]]
+    return train_ngram(streams, order, alpha)
+
+
+class TestLogRowMemo:
+    """``NGramModel`` keeps each context's log row after its first call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        alpha=st.sampled_from([0.05, 1.0]),
+        prefixes=st.lists(st.lists(st.integers(0, 3), max_size=5), min_size=1, max_size=12),
+    )
+    def test_warm_rows_equal_the_log_of_the_distribution(self, order, alpha, prefixes):
+        model = memo_model(order, alpha)
+        prefixes = [tuple(p) for p in prefixes]
+        cold = model.next_logits_batch(prefixes)
+        warm = model.next_logits_batch(prefixes)
+        assert cold.tobytes() == warm.tobytes()
+        for row, prefix in zip(warm, prefixes):
+            with np.errstate(divide="ignore"):
+                expected = np.log(model.next_distribution(prefix))
+            assert row.tobytes() == expected.tobytes()
+            assert model.next_logits(prefix).tobytes() == expected.tobytes()
+        assert len(model._log_rows) <= len(model.counts) + 1
+
+    @pytest.mark.parametrize("prefix", [
+        (0, 1),      # seen
+        (3, 3),      # unseen: eos never occurs mid-sequence
+        (),          # padded with BEGIN only
+        (2,),        # padded with one BEGIN
+    ], ids=["seen", "unseen", "begin", "begin-padded"])
+    def test_seen_unseen_and_begin_padded_rows(self, prefix):
+        model = memo_model(3, 0.5)
+        for _ in range(2):
+            with np.errstate(divide="ignore"):
+                expected = np.log(model.next_distribution(prefix))
+            assert model.next_logits(prefix).tobytes() == expected.tobytes()
+
+    def test_unseen_contexts_share_one_row(self):
+        model = memo_model(3, 1.0)
+        unseen = [(a, b) for a in range(4) for b in range(4)
+                  if model.context_of((a, b)) not in model.counts]
+        assert len(unseen) > 1
+        model.next_logits_batch(unseen)
+        assert len(model._log_rows) == 1
+        every = [(a, b) for a in range(4) for b in range(4)] + [(), (0,), (1,), (2,), (3,)]
+        model.next_logits_batch(every)
+        assert len(model._log_rows) <= len(model.counts) + 1
+
+    def test_returned_rows_are_fresh_and_writable(self):
+        model = memo_model(2, 1.0)
+        first = model.next_logits((0,))
+        first[:] = 0.0
+        batch = model.next_logits_batch([(0,), (0,)])
+        batch[:] = 0.0
+        assert (model.next_logits((0,)) < 0).all()
+
+    def test_unseen_context_without_smoothing_raises_every_call(self):
+        model = ab_model(alpha=0.0)
+        model.next_logits((0,))
+        for _ in range(3):
+            with pytest.raises(UnseenContextError, match=r"context \(2,\) never observed"):
+                model.next_logits_batch([(0,), (2,)])
+            with pytest.raises(UnseenContextError):
+                model.next_logits((2,))
+        assert None not in model._log_rows
+
+    def test_parallel_decodes_on_a_warm_model_match_serial(self):
+        model = memo_model(3, 0.5)
+        prompts = [(0,), (1, 2), (), (2, 2, 0)] * 2
+        config = DecodeConfig(method="beam", beam_size=3, max_length=6,
+                              no_repeat_ngram_size=2)
+        cold = batch_decode(model, prompts, config, workers=1)
+        assert model._log_rows
+        serial = batch_decode(model, prompts, config, workers=1)
+        parallel = batch_decode(model, prompts, config, workers=2)
+        assert cold == serial == parallel
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
@@ -323,6 +405,8 @@ class TestTableModel:
         model = TableModel(vocab, start=[0.5, 0.5, 0.0])
         with pytest.raises(KeyError):
             model.next_distribution((0,))
+        with pytest.raises(KeyError):
+            model.next_logits((0,))
 
 
 class TestPersistence:

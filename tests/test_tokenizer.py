@@ -286,6 +286,25 @@ class TestTokenSequence:
         with pytest.raises(ValueError):
             TokenSequence((-1,), vocab)
 
+    @pytest.mark.parametrize("ids, first", [
+        ((0, 7, 1, -3), "7"),
+        ((1, -3, 0, 7), "-3"),
+        ((1, 1, 9, 2), "9"),
+        ((0, 1, 2), "2"),  # the vocabulary size itself
+        ((-1,), "-1"),
+    ])
+    def test_bounds_error_names_the_first_bad_id(self, ids, first):
+        vocab = simple_vocab({"a": -1.0})
+        size = len(vocab)
+        with pytest.raises(ValueError) as err:
+            TokenSequence(ids, vocab)
+        assert str(err.value) == f"token id {first} outside [0, {size})"
+
+    def test_empty_and_edge_ids_pass(self):
+        vocab = simple_vocab({"a": -1.0})
+        assert TokenSequence((), vocab).ids == ()
+        assert TokenSequence((0, len(vocab) - 1), vocab).ids == (0, len(vocab) - 1)
+
     def test_token_ids_helper(self):
         vocab = simple_vocab({"a": -1.0})
         seq = TokenSequence((0, 1), vocab)
