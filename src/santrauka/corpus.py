@@ -6,13 +6,24 @@ Articles arrive as UTF-8 line-delimited JSON, one object per line with keys
 and all length thresholds below are counted in Unicode code points of the
 normalized text, so accented characters count as one character.
 
-The near-copy filter measures the longest common substring (contiguous,
-character-level, case-sensitive) between summary and body. The matcher
-walks the start positions of the shorter text once and grows the best
-length while the next longer piece occurs in the longer text, using
-Python's own substring search. On news text that search fails fast; on
-periodic text such as ``"aaab" * n`` against ``"a" * m`` it can take up
-to O(len(a) * len(b) * L) character comparisons for a shared length L.
+The near-copy filter rejects a pair when the summary shares a contiguous,
+character-level, case-sensitive run of at least ``max_overlap_ratio`` of
+its length with the body. It only asks whether such a run exists, so it
+tests a threshold rather than measuring the run: with k the least run
+length that reaches the ratio, every shared run of length k contains a
+summary window of length m = ceil(k/2) starting at a multiple of
+t = k - m + 1 (the pigeonhole argument of q-gram filtering; Ukkonen,
+TCS 1992). Those windows are looked up in the body with Python's own
+substring search, and only on a hit are the t length-k windows covering
+it looked up too. That is about len(summary) / t searches when nothing
+is copied, and never more than len(summary) + len(summary) / t.
+
+``longest_common_substring_len`` measures the exact longest run: it walks
+the start positions of the shorter text once and grows the best length
+while the next longer piece occurs in the longer text. It backs
+``overlap_ratio`` and serves as the filter's test oracle; on periodic
+text such as ``"aaab" * n`` against ``"a" * m`` it can take up to
+O(len(a) * len(b) * L) character comparisons for a shared length L.
 """
 
 from __future__ import annotations
@@ -89,6 +100,22 @@ class IngestError:
     message: str
 
 
+def _parse_date(text: str) -> date:
+    """The date of a ``YYYY-MM-DD`` string of ASCII digits; nothing else.
+
+    ``date.fromisoformat`` is not used: from Python 3.11 on it also takes
+    ``20200101`` and week dates such as ``2020-W01-1``, which 3.10 refuses.
+    """
+    digits = text[:4] + text[5:7] + text[8:]
+    if not (len(text) == 10 and text[4] == text[7] == "-"
+            and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad published_at: expected YYYY-MM-DD, got {text!r}")
+    try:
+        return date(int(text[:4]), int(text[5:7]), int(text[8:]))
+    except ValueError as err:
+        raise ValueError(f"bad published_at: {err}") from None
+
+
 def _article_from_record(record: dict) -> Article:
     unknown = set(record) - ARTICLE_KEYS
     if unknown:
@@ -113,10 +140,7 @@ def _article_from_record(record: dict) -> Article:
     if published_raw is not None:
         if not isinstance(published_raw, str):
             raise ValueError("key 'published_at' must be an ISO date string")
-        try:
-            published = date.fromisoformat(published_raw)
-        except ValueError as err:
-            raise ValueError(f"bad published_at: {err}") from None
+        published = _parse_date(published_raw)
     return Article(
         source=record["source"],
         summary=summary,
@@ -217,6 +241,36 @@ def overlap_ratio(summary: str, body: str) -> float:
     return longest_common_substring_len(summary, body) / len(summary)
 
 
+def _least_run(ratio: float, n: int) -> int:
+    """The least k in [0, n] with ``k / n >= ratio``, for ratio in [0, 1].
+
+    The float division is the one ``overlap_ratio`` makes, so a run length
+    reaches k exactly when its ratio reaches ``ratio``; ``ceil(ratio * n)``
+    can be one too many (0.28 * 25 is 7.000000000000001, yet 7 / 25 >= 0.28).
+    """
+    k = min(n, int(ratio * n) + 1)
+    while k > 0 and (k - 1) / n >= ratio:
+        k -= 1
+    return k
+
+
+def _shares_run(summary: str, body: str, k: int) -> bool:
+    """Whether ``summary`` and ``body`` share a run of at least k characters."""
+    if k == 0:
+        return True
+    m = (k + 1) // 2
+    t = k - m + 1
+    # a length-k run starting at p holds the window at the first multiple
+    # of t from p on; the length-k runs holding window w start in
+    # [w + m - k, w], and those ranges are disjoint from window to window
+    for w in range(0, len(summary) - m + 1, t):
+        if summary[w : w + m] in body:
+            for start in range(max(0, w + m - k), min(w, len(summary) - k) + 1):
+                if summary[start : start + k] in body:
+                    return True
+    return False
+
+
 @dataclass
 class FilterConfig:
     """Thresholds for the keep/reject rules, checked in a fixed order.
@@ -255,7 +309,7 @@ def filter_article(article: Article, config: FilterConfig) -> str | None:
         return REASON_BODY_TOO_SHORT
     if b_len < config.min_body_to_summary_ratio * s_len:
         return REASON_BODY_TO_SUMMARY_RATIO
-    if overlap_ratio(article.summary, article.body) >= config.max_overlap_ratio:
+    if _shares_run(article.summary, article.body, _least_run(config.max_overlap_ratio, s_len)):
         return REASON_OVERLAP_TOO_HIGH
     return None
 

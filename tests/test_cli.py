@@ -21,6 +21,7 @@ from santrauka.cli import (
     render_args,
     run,
 )
+from santrauka.corpus import longest_common_substring_len
 from santrauka.decode import METHODS
 from santrauka.lm import NGramModel
 from santrauka.tokenizer import Vocabulary
@@ -451,6 +452,56 @@ class TestFilterCommand:
         main(["filter", "--input", input_path, "--output", str(one)])
         main(["filter", "--input", input_path, "--output", str(two), "--workers", "3"])
         assert one.read_bytes() == two.read_bytes()
+
+
+def overlap_articles():
+    """Articles that pass the length rules and share runs of 3 to 8
+    characters (here and there in the summary) with their bodies, so the
+    overlap rule decides them at, just above and just below its threshold."""
+    filler = " ".join(["noru", "purvo", "rytu", "sausu", "tyru", "vyru", "zuvys"] * 3)
+    records = []
+    for length in (20, 25):  # 20 chars: k = 4 at r = 0.2; 25 chars: k = 7 at r = 0.28
+        summary = "bcdefghijklmbcdefghijklm"[:length - 1] + "q"
+        for shared in range(3, 9):
+            for start in (0, (length - shared) // 2, length - shared):
+                records.append({
+                    "source": f"s{length}.lt",
+                    "published_at": f"2020-0{1 + shared % 9}-1{start % 10}",
+                    "summary": summary,
+                    "body": f"{filler} {summary[start:start + shared]} {filler}",
+                })
+    return records
+
+
+class TestOverlapRejects:
+    @pytest.mark.parametrize("ratio", ["0.2", "0.28"])
+    def test_reports_hold_the_measured_rule(self, tmp_path, capsys, ratio):
+        records = overlap_articles()
+        rejects = sum(
+            longest_common_substring_len(r["summary"], r["body"]) / len(r["summary"])
+            >= float(ratio)
+            for r in records
+        )
+        assert 0 < rejects < len(records)
+        input_path = write_jsonl(tmp_path / "in.jsonl", records)
+        outputs = {}
+        for workers in ("1", "2"):
+            kept = tmp_path / f"kept{workers}.jsonl"
+            stats = tmp_path / f"stats{workers}.json"
+            flags = ["--input", input_path, "--max-overlap-ratio", ratio, "--workers", workers]
+            assert main(["filter", *flags, "--output", str(kept)]) == 0
+            filter_report = json.loads(capsys.readouterr().out)["report"]
+            assert main(["stats", *flags, "--output", str(stats)]) == 0
+            table = capsys.readouterr().out
+            assert filter_report == json.loads(stats.read_text(encoding="utf-8"))["report"]
+            assert filter_report["rejected_by_reason"] == {
+                "summary_too_short": 0, "body_too_short": 0, "body_to_summary_ratio": 0,
+                "overlap_too_high": rejects,
+            }
+            assert filter_report["kept"] == len(records) - rejects
+            assert f"overlap_too_high: {rejects}" in table
+            outputs[workers] = (kept.read_bytes(), filter_report, table)
+        assert outputs["1"] == outputs["2"]
 
 
 class TestStatsCommand:

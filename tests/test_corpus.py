@@ -189,6 +189,69 @@ class TestFilterArticle:
         assert filter_article(article, self.CONFIG) == first
 
 
+def _overlap_rule(summary: str, body: str, ratio: float) -> bool:
+    """The overlap rule measured exactly: the oracle of the threshold test."""
+    return longest_common_substring_len(summary, body) / len(summary) >= ratio
+
+
+def _overlap_decision(summary: str, body: str, ratio: float) -> bool:
+    """Whether ``filter_article`` rejects the pair for overlap; the other
+    rules pass any nonempty summary and body, so the overlap rule decides."""
+    config = FilterConfig(min_summary_chars=0, min_body_chars=0,
+                          min_body_to_summary_ratio=0.0, max_overlap_ratio=ratio)
+    return filter_article(make_article(summary, body), config) == "overlap_too_high"
+
+
+_RATIOS = st.floats(0, 1) | st.sampled_from([0.0, 0.1, 0.2, 0.25, 1 / 3, 0.28, 0.5, 0.9, 1.0])
+
+
+def _texts(min_size):
+    return (st.text(st.sampled_from("ab"), min_size=min_size, max_size=40)
+            | st.text(st.sampled_from("abcd "), min_size=min_size, max_size=80)
+            | st.text(st.sampled_from("ąčę "), min_size=min_size, max_size=60))
+
+
+class TestOverlapThreshold:
+    """``filter_article`` decides the overlap rule without measuring the
+    longest shared run; its decision must equal the measured rule's."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(summary=_texts(1), body=_texts(1), ratio=_RATIOS)
+    # r = 0: every pair reaches the rule, even with nothing shared
+    @example(summary="abc", body="xyz", ratio=0.0)
+    # r = 1: the rule becomes ``summary in body``
+    @example(summary="abab", body="babab", ratio=1.0)
+    @example(summary="abab", body="bab", ratio=1.0)
+    @example(summary="abba", body="ab ba", ratio=1.0)
+    # 20 characters at r = 0.2 need k = 4: a shared run of exactly 4, and of 3
+    @example(summary="abcdefghijklmnopqrst", body="xxfghixx", ratio=0.2)
+    @example(summary="abcdefghijklmnopqrst", body="xxfghxx", ratio=0.2)
+    @example(summary="abcdefghijklmnopqrst", body="xxqrstxx", ratio=0.2)
+    @example(summary="abcdefghijklmnopqrst", body="xxrstxx", ratio=0.2)
+    # the float trap: ceil(0.28 * 25) is 8, but 7 / 25 >= 0.28, so k = 7
+    @example(summary="abcdefghijklmnopqrstuvwxy", body="--defghij--", ratio=0.28)
+    @example(summary="abcdefghijklmnopqrstuvwxy", body="--defghi--", ratio=0.28)
+    def test_decision_equals_measured_rule(self, summary, body, ratio):
+        assert _overlap_decision(summary, body, ratio) == _overlap_rule(summary, body, ratio)
+
+    @pytest.mark.parametrize(
+        "summary, body",
+        [
+            (("a" * 50 + "b") * 20, "a" * 20000),
+            (
+                "".join(np.random.default_rng(500).choice(list("ab"), size=500)),
+                "".join(np.random.default_rng(20000).choice(list("ab"), size=20000)),
+            ),
+        ],
+        ids=["periodic", "random-ab"],
+    )
+    @pytest.mark.parametrize("ratio", [0.05, 0.2, 0.5])
+    def test_adversarial_text(self, summary, body, ratio):
+        # periodic and two-letter text is the measured scan's worst case;
+        # the decision must still equal the measured rule's
+        assert _overlap_decision(summary, body, ratio) == _overlap_rule(summary, body, ratio)
+
+
 class TestNormalizeWhitespace:
     #: Common and rare whitespace, each accepted by both re's \s and str.isspace
     SPACES = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 "
@@ -285,6 +348,29 @@ class TestIngest(object):
         articles = list(ingest(path, errors))
         assert articles[0].published_at == date(2020, 9, 23)
         assert len(articles) == 1 and len(errors) == 1
+
+    @pytest.mark.parametrize(
+        "published_at, message",
+        [
+            # Python 3.11's date.fromisoformat takes these two; 3.10's refuses them
+            ("20200101", "bad published_at: expected YYYY-MM-DD, got '20200101'"),
+            ("2020-W01-1", "bad published_at: expected YYYY-MM-DD, got '2020-W01-1'"),
+            ("2020-1-01", "bad published_at: expected YYYY-MM-DD, got '2020-1-01'"),
+            ("2020-01-01T00:00", "bad published_at: expected YYYY-MM-DD, got '2020-01-01T00:00'"),
+            ("\u0662020-01-01", "bad published_at: expected YYYY-MM-DD, got '\u0662020-01-01'"),
+            ("2020-02-30", "bad published_at: day is out of range for month"),
+            ("0000-01-01", "bad published_at: year 0 is out of range"),
+        ],
+    )
+    def test_date_other_than_yyyy_mm_dd_is_a_line_error(self, tmp_path, published_at, message):
+        record = {"source": "x", "summary": "s", "body": "b", "published_at": published_at}
+        path = self.write_lines(
+            tmp_path,
+            [json.dumps(record, ensure_ascii=False), '{"source":"y","summary":"s","body":"b"}'],
+        )
+        errors = []
+        assert [a.source for a in ingest(path, errors)] == ["y"]
+        assert errors == [IngestError(1, message)]
 
     def test_whitespace_normalization(self, tmp_path):
         path = self.write_lines(
