@@ -24,10 +24,8 @@ import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import Field, asdict, dataclass, field, fields
-from functools import partial
 from typing import Callable
 
-from santrauka._pool import map_ordered
 from santrauka.corpus import (
     FilterConfig,
     corpus_stats,
@@ -40,7 +38,7 @@ from santrauka.corpus import (
 )
 from santrauka.decode import METHODS, DecodeConfig, batch_decode
 from santrauka.lm import NGramModel, train_ngram
-from santrauka.metrics import aggregate, evaluate_pair, render_table
+from santrauka.metrics import aggregate, evaluate_pair, render_table, stem_normalize
 from santrauka.tokenizer import Vocabulary, char_vocabulary, viterbi_segment
 
 __all__ = ["RunConfig", "main", "parse_args", "render_args", "run"]
@@ -75,7 +73,7 @@ class RunConfig:
     vocab: str | None = _option(None, "vocabulary file; default derives one from the data",
                                 type=str, commands=_TRAINING)
     seed: int = _option(0, "master seed for all randomness", commands=("split", *_DECODING))
-    workers: int = _option(1, "parallel worker count", commands=("filter", "stats", *_DECODING))
+    workers: int = _option(1, "decode worker processes (default: 1)", commands=_DECODING)
     method: str = _option("beam", "decoding algorithm (default: beam)", choices=METHODS,
                           commands=(*_DECODING, "evaluate"))
     beam_size: int = _option(10, "hypotheses kept per step (default: 10)", commands=_DECODING)
@@ -174,8 +172,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Parse argv into a fully resolved RunConfig.
 
     Flags and config-file keys the command does not read, type mismatches,
-    mistyped config values, non-finite floats, and missing required paths
-    all exit with a usage error (status 2).
+    mistyped config values, non-finite floats, unregistered stemmers, and
+    missing required paths all exit with a usage error (status 2).
     """
     parser, subparsers = _build_parser()
     namespace, extra = parser.parse_known_args(argv)
@@ -219,6 +217,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         config = RunConfig(**resolved)
         config.decode_config()
         config.filter_config()
+        stem_normalize((), config.stemmer)
     except (TypeError, ValueError) as err:
         parser.error(str(err))
 
@@ -259,9 +258,15 @@ def _progress(message: str) -> None:
 
 
 def _atomic_write(path: str, write: Callable) -> None:
-    """Write through a temp file in the target directory, then rename."""
+    """Write through a temp file in the target directory, then rename.
+
+    A directory that cannot take the temp file is an io error on ``path``.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".santrauka-", suffix=".part")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".santrauka-", suffix=".part")
+    except OSError as err:
+        raise OSError(f"cannot write {path}: {err.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
@@ -299,8 +304,8 @@ def _filter_report(config: RunConfig, report, ingest_errors: list) -> str:
 def _filter_pass(config: RunConfig):
     """Kept articles, the filter report, and the ingest errors."""
     articles, ingest_errors = _ingest(config)
-    keep = partial(filter_article, config=config.filter_config())
-    decisions = map_ordered(keep, articles, config.workers)
+    filter_config = config.filter_config()
+    decisions = [filter_article(article, filter_config) for article in articles]
     report = corpus_stats(zip(articles, decisions))
     kept = [a for a, d in zip(articles, decisions) if d is None]
     return kept, report, ingest_errors
@@ -470,7 +475,8 @@ def _cmd_pipeline(config: RunConfig) -> int:
     _progress(f"pipeline: kept {len(kept)}/{report.total} articles")
     payload: dict = {**_header(config, ingest_errors), "filter_report": report.as_dict()}
     if not kept:
-        payload.update(train_count=0, validation_count=0, decoded=0, evaluation=None)
+        payload.update(train_count=0, validation_count=0, decoded=0, decode_errors=0,
+                       evaluation=None)
         _write_lines(config.output, [_dump(payload)])
         print(_dump(payload))
         return 0

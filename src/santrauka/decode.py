@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from santrauka._pool import map_ordered
 from santrauka.lm import LanguageModel, softmax_rows
 from santrauka.tokenizer import TokenSequence, detokenize, token_ids
 
@@ -473,14 +473,21 @@ def batch_decode(
     Prompt i runs with seed ``config.seed + i``, so a batch equals the
     corresponding independent calls. A failing prompt leaves None in its
     slot and, when ``errors`` is a list, records (index, message) there;
-    the rest of the batch continues. ``workers`` > 1 fans out across
-    processes; ordering is unaffected.
+    the rest of the batch continues. ``workers`` > 1 fans out across at
+    most one process per prompt; ordering is unaffected. Chunks are about
+    a quarter of a worker's share, so no worker is left with a long tail.
     """
     tasks = [
         (model, token_ids(p), replace(config, seed=config.seed + i))
         for i, p in enumerate(prompts)
     ]
-    outcomes = map_ordered(_decode_task, tasks, workers)
+    if workers <= 1 or len(tasks) <= 1:
+        outcomes = [_decode_task(task) for task in tasks]
+    else:
+        workers = min(workers, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(tasks) // (workers * 4))
+            outcomes = list(pool.map(_decode_task, tasks, chunksize=chunksize))
     results: list[DecodeResult | None] = []
     for i, (result, message) in enumerate(outcomes):
         results.append(result)

@@ -60,8 +60,8 @@ def synthetic_articles(count, seed=0, source_names=("alpha.lt", "beta.lt")):
 
 #: The flags each command takes, by RunConfig field. Written out here rather
 #: than read from the field metadata, so the two check each other.
-_FILTER_FLAGS = {"input", "output", "workers", "min_summary_chars", "min_body_chars",
-                 "min_ratio", "max_overlap_ratio"}
+_FILTER_FLAGS = {"input", "output", "min_summary_chars", "min_body_chars", "min_ratio",
+                 "max_overlap_ratio"}
 SCOPE = {
     "filter": _FILTER_FLAGS,
     "stats": _FILTER_FLAGS,
@@ -98,8 +98,8 @@ class TestCommandScope:
     def test_tables_cover_every_command_and_field(self):
         assert set(SCOPE) == set(COMMANDS)
         assert set(FIELD_VALUES) == {f.name for f in fields(RunConfig)} - {"command"}
-        assert [len(SCOPE[c]) for c in COMMANDS] == [7, 7, 4, 5, 13, 4, 21]
-        assert sum(map(len, SCOPE.values())) == 61
+        assert [len(SCOPE[c]) for c in COMMANDS] == [6, 6, 4, 5, 13, 4, 21]
+        assert sum(map(len, SCOPE.values())) == 59
 
     @pytest.mark.parametrize("name", FIELD_VALUES)
     @pytest.mark.parametrize("command", COMMANDS)
@@ -252,6 +252,21 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+    def test_unregistered_stemmer_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        argv = [command, "--input", "i", "--output", "o"]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"stemmer": "porter"}), encoding="utf-8")
+        for extra in (["--stemmer", "porter"], ["--config", str(config_path)]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args([*argv, *extra])
+            assert exc.value.code == 2
+            assert "unknown stemmer 'porter'" in capsys.readouterr().err
+        # the names come from the metrics registry, plugins included
+        monkeypatch.setitem(sys.modules["santrauka.metrics"]._STEMMERS, "porter", str.lower)
+        assert parse_args([*argv, "--stemmer", "porter"]).stemmer == "porter"
+
 
 class TestConfigFilePrecedence:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
@@ -386,7 +401,7 @@ _run_configs = st.builds(
     ngram_order=st.integers(),
     alpha=st.floats(allow_nan=False, allow_infinity=False),
     n_validation=st.integers(min_value=0),
-    stemmer=_text(),
+    stemmer=st.sampled_from(["identity", "lithuanian-light"]),
     min_summary_chars=st.integers(min_value=0),
     min_body_chars=st.integers(min_value=0),
     min_ratio=st.floats(min_value=0, allow_infinity=False),
@@ -418,7 +433,7 @@ class TestRenderRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(config=_run_configs)
     @example(config=RunConfig(command="pipeline", input="-a.jsonl", output="--o",
-                              stemmer="--x", alpha=-1.5))
+                              vocab="--v", alpha=-1.5))
     def test_round_trip_property(self, config):
         assert parse_args(render_args(config)) == config
 
@@ -444,14 +459,6 @@ class TestFilterCommand:
         before = input_path.read_bytes()
         main(["filter", "--input", str(input_path), "--output", str(tmp_path / "o.jsonl")])
         assert input_path.read_bytes() == before
-
-    def test_workers_do_not_change_results(self, tmp_path):
-        input_path = write_jsonl(tmp_path / "in.jsonl", synthetic_articles(12))
-        one = tmp_path / "one.jsonl"
-        two = tmp_path / "two.jsonl"
-        main(["filter", "--input", input_path, "--output", str(one)])
-        main(["filter", "--input", input_path, "--output", str(two), "--workers", "3"])
-        assert one.read_bytes() == two.read_bytes()
 
 
 def overlap_articles():
@@ -484,24 +491,20 @@ class TestOverlapRejects:
         )
         assert 0 < rejects < len(records)
         input_path = write_jsonl(tmp_path / "in.jsonl", records)
-        outputs = {}
-        for workers in ("1", "2"):
-            kept = tmp_path / f"kept{workers}.jsonl"
-            stats = tmp_path / f"stats{workers}.json"
-            flags = ["--input", input_path, "--max-overlap-ratio", ratio, "--workers", workers]
-            assert main(["filter", *flags, "--output", str(kept)]) == 0
-            filter_report = json.loads(capsys.readouterr().out)["report"]
-            assert main(["stats", *flags, "--output", str(stats)]) == 0
-            table = capsys.readouterr().out
-            assert filter_report == json.loads(stats.read_text(encoding="utf-8"))["report"]
-            assert filter_report["rejected_by_reason"] == {
-                "summary_too_short": 0, "body_too_short": 0, "body_to_summary_ratio": 0,
-                "overlap_too_high": rejects,
-            }
-            assert filter_report["kept"] == len(records) - rejects
-            assert f"overlap_too_high: {rejects}" in table
-            outputs[workers] = (kept.read_bytes(), filter_report, table)
-        assert outputs["1"] == outputs["2"]
+        kept, stats = tmp_path / "kept.jsonl", tmp_path / "stats.json"
+        flags = ["--input", input_path, "--max-overlap-ratio", ratio]
+        assert main(["filter", *flags, "--output", str(kept)]) == 0
+        filter_report = json.loads(capsys.readouterr().out)["report"]
+        assert main(["stats", *flags, "--output", str(stats)]) == 0
+        table = capsys.readouterr().out
+        assert filter_report == json.loads(stats.read_text(encoding="utf-8"))["report"]
+        assert filter_report["rejected_by_reason"] == {
+            "summary_too_short": 0, "body_too_short": 0, "body_to_summary_ratio": 0,
+            "overlap_too_high": rejects,
+        }
+        assert filter_report["kept"] == len(records) - rejects
+        assert len(kept.read_text(encoding="utf-8").splitlines()) == len(records) - rejects
+        assert f"overlap_too_high: {rejects}" in table
 
 
 class TestStatsCommand:
@@ -799,12 +802,55 @@ class TestPipelineCommand:
         assert payload["decoded"] == 0
         assert payload["evaluation"] is None
 
+    def test_every_report_has_the_same_keys(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", synthetic_articles(30, seed=2))
+        small = ["--n-validation", "5", "--ngram-order", "2", "--max-length", "20"]
+        runs = {
+            "empty": ["--input", str(empty)],
+            "unsegmentable": ["--input", corpus, *small,
+                              "--vocab", str(summary_vocab_file(tmp_path))],
+            "scored": ["--input", corpus, *small],
+        }
+        keys = {}
+        for name, flags in runs.items():
+            report_path = tmp_path / f"{name}.json"
+            assert main(["pipeline", *flags, "--output", str(report_path)]) == 0
+            keys[name] = list(json.loads(report_path.read_text(encoding="utf-8")))
+        assert "decode_errors" in keys["empty"]
+        assert keys["empty"] == keys["unsegmentable"] == keys["scored"][:-1]
+        assert keys["scored"][-1] == "table"
+
+    def test_workers_do_not_change_the_report(self, tmp_path, capsys):
+        input_path = write_jsonl(tmp_path / "corpus.jsonl", synthetic_articles(30, seed=2))
+        report_path = tmp_path / "report.json"
+        outputs = {}
+        for workers in ("1", "2"):
+            assert main(["pipeline", "--input", input_path, "--output", str(report_path),
+                         "--n-validation", "5", "--ngram-order", "2", "--max-length", "30",
+                         "--seed", "1", "--workers", workers]) == 0
+            outputs[workers] = (report_path.read_bytes(), capsys.readouterr().out.encode())
+        # the reports differ only in the worker count their config echoes
+        echoed = [out.replace(b'"workers": 2,', b'"workers": 1,') for out in outputs["2"]]
+        assert echoed == list(outputs["1"])
+        assert all(b'"workers": 2,' in out for out in outputs["2"])
+
 
 class TestRunErrors:
     def test_missing_input_file(self, tmp_path):
         config = parse_args(["filter", "--input", str(tmp_path / "nope.jsonl"),
                              "--output", str(tmp_path / "o.jsonl")])
         assert run(config) == 1
+
+    def test_missing_output_directory_is_an_io_error(self, tmp_path, capsys):
+        pairs = write_jsonl(tmp_path / "pairs.jsonl",
+                            [{"id": 1, "candidate": "a b", "reference": "a b"}])
+        output_path = tmp_path / "nodir" / "out.jsonl"
+        assert main(["evaluate", "--input", pairs, "--output", str(output_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: io: cannot write {output_path}: No such file or directory\n"
+        assert not output_path.parent.exists()
 
 
 def _set_count(token):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -385,6 +386,36 @@ class TestBatchDecode:
         serial = batch_decode(model, prompts, config, workers=1)
         parallel = batch_decode(model, prompts, config, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers, count, pools", [
+        (5000, 2, [2]), (2, 6, [2]), (3, 1, []), (1, 6, []),
+    ])
+    def test_at_most_one_worker_per_prompt(self, monkeypatch, workers, count, pools):
+        started = []
+
+        class InProcessPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(sys.modules["santrauka.decode"], "ProcessPoolExecutor",
+                            InProcessPool)
+        model = greedy_trap_model()
+        config = DecodeConfig(method="sample", seed=9, max_length=6)
+        results = batch_decode(model, [()] * count, config, workers=workers)
+        assert started == pools
+        assert results == [sample_decode(model, (), replace(config, seed=9 + i))
+                           for i in range(count)]
 
 
 class TestDecodeDispatch:
