@@ -184,12 +184,21 @@ _STEMMERS: dict[str, Callable[[str], str]] = {
 
 
 def register_stemmer(name: str, fn: Callable[[str], str]) -> None:
-    """Add a stemmer plugin under ``name`` for use by stem_normalize."""
+    """Add a stemmer plugin under ``name`` for use by stem_normalize.
+
+    ``fn`` must be a pure function of the word: stem_normalize calls it
+    once per distinct token and reuses the result for every repeat.
+    """
     _STEMMERS[name] = fn
 
 
 def stem_normalize(tokens: Sequence[str], stemmer="identity") -> list[str]:
-    """Apply a registered stemmer (by name) or a callable to every token."""
+    """Apply a registered stemmer (by name) or a callable to every token.
+
+    The stemmer must be a pure function of the word. It is called once per
+    distinct token, in order of first occurrence (the identity stemmer not
+    at all), and each token maps through that table.
+    """
     if callable(stemmer):
         fn = stemmer
     else:
@@ -199,7 +208,10 @@ def stem_normalize(tokens: Sequence[str], stemmer="identity") -> list[str]:
             raise ValueError(
                 f"unknown stemmer {stemmer!r}; registered: {sorted(_STEMMERS)}"
             ) from None
-    return [fn(token) for token in tokens]
+    if fn is identity_stem:
+        return list(tokens)
+    stems = {token: fn(token) for token in dict.fromkeys(tokens)}
+    return list(map(stems.__getitem__, tokens))
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,17 @@ def word_tokenize(text: str, lowercase: bool = False) -> list[str]:
     """
     tokens = []
     for chunk in text.split():
-        start, end = 0, len(chunk)
-        while start < end and _is_punct(chunk[start]):
-            start += 1
-        while end > start and _is_punct(chunk[end - 1]):
-            end -= 1
-        if start < end:
-            word = chunk[start:end]
-            tokens.append(word.lower() if lowercase else word)
+        # alphanumeric edges are never punctuation: most words skip the scan
+        if not (chunk[0].isalnum() and chunk[-1].isalnum()):
+            start, end = 0, len(chunk)
+            while start < end and _is_punct(chunk[start]):
+                start += 1
+            while end > start and _is_punct(chunk[end - 1]):
+                end -= 1
+            if start == end:
+                continue
+            chunk = chunk[start:end]
+        tokens.append(chunk.lower() if lowercase else chunk)
     return tokens
 
 
@@ -69,7 +72,11 @@ def ngrams(tokens: Sequence, n: int) -> Counter:
     """All contiguous windows of length ``n``, with multiplicities."""
     if n < 1:
         raise ValueError("n-gram order must be at least 1")
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    if n > len(tokens):
+        return Counter()
+    # the i-th shifted copy supplies each window's i-th item; zip stops at
+    # the shortest copy, so every window is whole
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 class Vocabulary:
@@ -289,6 +296,18 @@ class TokenSequence:
 
     def __post_init__(self):
         size = len(self.vocab)
+        try:
+            # bounds of the distinct ids at C speed; min and max skip a NaN
+            # that is not first, but a NaN makes the sum NaN
+            distinct = set(self.ids)
+            if not distinct or (
+                0 <= min(distinct) and max(distinct) < size
+                and (total := sum(distinct)) == total
+            ):
+                return
+        except TypeError:
+            pass
+        # name the first id out of range, or raise what comparing it raises
         for i in self.ids:
             if not 0 <= i < size:
                 raise ValueError(f"token id {i} outside [0, {size})")

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -751,6 +752,32 @@ class TestEvaluateCommand:
               "--stemmer", "lithuanian-light"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["rouge1_f"]["mean"] == pytest.approx(1.0)
+
+    # sha256 of the scores file and of stdout for tests/data/evaluate_golden.jsonl
+    # (punctuation, uppercase, Lithuanian inflections, repeats, non-ASCII
+    # alphanumeric edges, an empty candidate and an empty reference)
+    GOLDEN = {
+        "identity": (
+            "4c07367250a36a7987ab1199defeee977255eeebcffd11c96cf4fc7295a97a0d",
+            "9fe115e077fb70c9b7305a9e554a34169cf79719ee6418cc5060a57c1f162f06",
+        ),
+        "lithuanian-light": (
+            "ef66d1629f4181c34f348dfb69cca8b06a1fdfa73d848d04fa0a98d7a7bebbcd",
+            "7713a8b078b438294d561c1506aaa4a291b6c8ca640a68a8df7c4a85b99d3cc5",
+        ),
+    }
+
+    @pytest.mark.parametrize("stemmer", sorted(GOLDEN))
+    def test_golden_report_bytes(self, stemmer, tmp_path, capsys, monkeypatch):
+        golden = ROOT / "tests" / "data" / "evaluate_golden.jsonl"
+        (tmp_path / "pairs.jsonl").write_bytes(golden.read_bytes())
+        monkeypatch.chdir(tmp_path)  # relative paths keep the echoed config fixed
+        assert main(["evaluate", "--input", "pairs.jsonl", "--output", "scores.jsonl",
+                     "--stemmer", stemmer]) == 0
+        scores = (tmp_path / "scores.jsonl").read_bytes()
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert (hashlib.sha256(scores).hexdigest(),
+                hashlib.sha256(stdout).hexdigest()) == self.GOLDEN[stemmer]
 
 
 class TestPipelineCommand:

@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scoring_oracle import category_word_tokenize, per_token_stem, slice_window_ngrams
 from santrauka.metrics import (
+    _STEMMERS,
     _lcs_len,
     EvalRecord,
     MeanStd,
@@ -99,6 +102,41 @@ def endswith_stem_oracle(word):
 def random_tokens(rng, max_len=20, vocab=10):
     size = int(rng.integers(0, max_len + 1))
     return [f"w{int(t)}" for t in rng.integers(0, vocab, size=size)]
+
+
+def evaluate_pair_oracle(candidate, reference, fn):
+    """evaluate_pair's record from the loop oracles: category-lookup edge
+    scan, one stemmer call per token, slice windows and the LCS table."""
+    def score(matched, cand_total, ref_total):
+        return RougeScore.from_counts(matched, cand_total, ref_total).as_dict()
+
+    def rouge_n_oracle(cand, ref, n):
+        cand_grams, ref_grams = slice_window_ngrams(cand, n), slice_window_ngrams(ref, n)
+        matched = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
+        return score(matched, sum(cand_grams.values()), sum(ref_grams.values()))
+
+    words = category_word_tokenize(candidate, lowercase=True)
+    cand = per_token_stem(words, fn)
+    ref = per_token_stem(category_word_tokenize(reference, lowercase=True), fn)
+    return {
+        "rouge1": rouge_n_oracle(cand, ref, 1),
+        "rouge2": rouge_n_oracle(cand, ref, 2),
+        "rougeL": score(lcs_table_oracle(cand, ref), len(cand), len(ref)),
+        "length_fraction": len(candidate) / len(reference),
+        "repetitive": any(count > 7 and word != "ir" for word, count in Counter(words).items()),
+    }
+
+
+#: Texts with case, edge and internal punctuation and Lithuanian inflections.
+_PAIR_TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(["", "", "„", "(", "-", "..."]),
+        st.sampled_from(["namas", "Namai", "NAMŲ", "namuose", "ir", "Ąžuolas", "upės",
+                         "žmonės", "e-paštas", "ką", "COVID-19", "²"]),
+        st.sampled_from(["", "", ",", ".", "!", "“", ")", "?!"]),
+    ).map("".join),
+    max_size=25,
+).map(" ".join)
 
 
 class TestRougeN:
@@ -316,6 +354,31 @@ class TestStemmers:
     def test_callable_accepted_directly(self):
         assert stem_normalize(["ab"], lambda w: w[0]) == ["a"]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tokens=st.lists(
+            st.one_of(st.sampled_from(_LITHUANIAN_WORDS + ["namas", "namai", "Namas"]),
+                      st.text(_LITHUANIAN_ALPHABET, max_size=8)),
+            max_size=20,
+        ),
+        stemmer=st.sampled_from(["identity", "lithuanian-light", str.upper]),
+    )
+    def test_matches_one_call_per_token(self, tokens, stemmer):
+        fn = _STEMMERS.get(stemmer, stemmer)
+        assert stem_normalize(tokens, stemmer) == per_token_stem(tokens, fn)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tokens=st.lists(st.sampled_from(["a", "b", "ą", "namas", ""]), max_size=20))
+    def test_stemmer_called_once_per_distinct_token(self, tokens):
+        calls = []
+
+        def counting(word):
+            calls.append(word)
+            return word[::-1]
+
+        assert stem_normalize(tokens, counting) == [t[::-1] for t in tokens]
+        assert calls == list(dict.fromkeys(tokens))
+
 
 def make_record(f1, length=1.0, repetitive=False):
     score = RougeScore(f1, f1, f1)
@@ -378,6 +441,21 @@ class TestEvaluatePair:
     def test_repetitive_flag_equals_is_repetitive(self, candidate, stemmer):
         record = evaluate_pair(candidate, "namas kalba", stemmer=stemmer)
         assert record.repetitive == is_repetitive(candidate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        candidate=_PAIR_TEXTS,
+        reference=_PAIR_TEXTS.filter(bool),
+        stemmer=st.sampled_from(["identity", "lithuanian-light"]),
+    )
+    @example(candidate="Namas, namai! NAMĄ namų", reference="„Namas“ (namai) namų.",
+             stemmer="lithuanian-light")
+    @example(candidate="", reference="...", stemmer="identity")
+    @example(candidate="ir " * 9, reference="ir", stemmer="lithuanian-light")
+    def test_matches_the_oracle_composition(self, candidate, reference, stemmer):
+        assert evaluate_pair(candidate, reference, stemmer).as_dict() == evaluate_pair_oracle(
+            candidate, reference, _STEMMERS[stemmer]
+        )
 
     def test_serializable(self):
         record = evaluate_pair("a b", "a c")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scoring_oracle import category_word_tokenize, slice_window_ngrams
 from santrauka.tokenizer import (
     TokenSequence,
     Vocabulary,
@@ -108,25 +109,6 @@ def _char_vocabs(draw):
     return Vocabulary(tokens, log_probs, eos=eos, unk=unk)
 
 
-def category_word_tokenize(text, lowercase=False):
-    """word_tokenize with the punctuation test as a category lookup on
-    every character."""
-    def is_punct(ch):
-        return unicodedata.category(ch).startswith("P")
-
-    tokens = []
-    for chunk in text.split():
-        start, end = 0, len(chunk)
-        while start < end and is_punct(chunk[start]):
-            start += 1
-        while end > start and is_punct(chunk[end - 1]):
-            end -= 1
-        if start < end:
-            word = chunk[start:end]
-            tokens.append(word.lower() if lowercase else word)
-    return tokens
-
-
 class TestWordTokenize:
     def test_punctuation_stripping(self):
         assert word_tokenize("Labas, pasauli!", lowercase=True) == ["labas", "pasauli"]
@@ -163,6 +145,14 @@ class TestWordTokenize:
         text=st.text("aąčęėįšųūžAĄŽ09²½٣_.,!?-–—„“«»'\"()…:;/§ \t\n", max_size=40),
         lowercase=st.booleans(),
     )
+    # non-ASCII alphanumeric edges (a letter, a superscript digit, an
+    # Arabic-Indic digit, a titlecase digraph) skip the edge scan; next to
+    # punctuation they stop it
+    @example(text="ą ² ٣ ǅ ąž²  ٣ǅ ǅ٣ą", lowercase=True)
+    @example(text="Ąžuolas² ٣metai ǅemal", lowercase=False)
+    @example(text="„ą“ (²) ٣. ǅ! -ą- ¿ǅ? ²… «٣»", lowercase=True)
+    @example(text="ą, ,ą ²- -² ٣) (٣ ǅ: :ǅ ą-² ǅ—٣ ., ą-", lowercase=False)
+    @example(text="ǅ-. .ą ²'٣ …ǅ…", lowercase=True)
     def test_matches_category_lookup(self, text, lowercase):
         expected = category_word_tokenize(text, lowercase=lowercase)
         assert word_tokenize(text, lowercase=lowercase) == expected
@@ -197,6 +187,35 @@ class TestNgrams:
             n = int(rng.integers(1, 5))
             total = sum(ngrams(tokens, n).values())
             assert total == max(0, len(tokens) - n + 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tokens=st.one_of(
+            st.lists(st.sampled_from(["a", "b", "ą", 1, (2,)]), max_size=12),
+            st.lists(st.sampled_from("abc"), max_size=12).map(tuple),
+            st.text("abą", max_size=12),
+        ),
+        n=st.integers(1, 5),
+    )
+    @example(tokens=[], n=1)
+    @example(tokens="ab", n=3)
+    @example(tokens=("a", "b", "a", "b"), n=4)
+    def test_matches_slice_windows(self, tokens, n):
+        # equal counts in the same first-occurrence key order
+        expected = slice_window_ngrams(tokens, n)
+        assert list(ngrams(tokens, n).items()) == list(expected.items())
+
+    def test_no_copies_when_the_window_is_longer_than_the_input(self):
+        class SliceCountingList(list):
+            slices = 0
+
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    SliceCountingList.slices += 1
+                return super().__getitem__(index)
+
+        assert ngrams(SliceCountingList(["a", "b"]), 1000) == {}
+        assert SliceCountingList.slices == 0
 
 
 class TestVocabulary:
@@ -278,6 +297,24 @@ class TestVocabulary:
         assert one.content_hash() != two.content_hash()
 
 
+NAN = float("nan")
+
+
+def per_id_check(ids, size):
+    """The TokenSequence bounds check as one comparison per id."""
+    for i in ids:
+        if not 0 <= i < size:
+            raise ValueError(f"token id {i} outside [0, {size})")
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as err:  # the type and message are what is compared
+        return type(err), str(err)
+    return None
+
+
 class TestTokenSequence:
     def test_bounds_checked(self):
         vocab = simple_vocab({"a": -1.0})
@@ -299,6 +336,36 @@ class TestTokenSequence:
         with pytest.raises(ValueError) as err:
             TokenSequence(ids, vocab)
         assert str(err.value) == f"token id {first} outside [0, {size})"
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        ids=st.lists(
+            st.one_of(
+                st.integers(-2, 6),
+                st.integers(),
+                st.floats(-2, 6),
+                st.floats(),
+                st.booleans(),
+                st.sampled_from([NAN, None, "a"]),
+            ),
+            max_size=8,
+        ),
+        extra=st.integers(0, 4),
+    )
+    # a NaN that is not first hides from min and max
+    @example(ids=[1, NAN, 0], extra=2)
+    @example(ids=[0, 1.5, float("nan")], extra=2)
+    @example(ids=[NAN], extra=0)
+    @example(ids=[NAN, NAN, 1], extra=1)
+    @example(ids=[True, 0.5, -0.0], extra=0)
+    @example(ids=[1, float("inf"), NAN], extra=3)
+    @example(ids=[1, "a"], extra=3)
+    @example(ids=[[1]], extra=3)
+    def test_matches_the_per_id_loop(self, ids, extra):
+        vocab = simple_vocab({f"t{k}": -1.0 for k in range(extra)})
+        assert _outcome(TokenSequence, tuple(ids), vocab) == _outcome(
+            per_id_check, tuple(ids), len(vocab)
+        )
 
     def test_empty_and_edge_ids_pass(self):
         vocab = simple_vocab({"a": -1.0})
