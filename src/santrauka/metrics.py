@@ -184,21 +184,12 @@ _STEMMERS: dict[str, Callable[[str], str]] = {
 
 
 def register_stemmer(name: str, fn: Callable[[str], str]) -> None:
-    """Add a stemmer plugin under ``name`` for use by stem_normalize.
-
-    ``fn`` must be a pure function of the word: stem_normalize calls it
-    once per distinct token and reuses the result for every repeat.
-    """
+    """Add a stemmer plugin under ``name`` for use by stem_normalize."""
     _STEMMERS[name] = fn
 
 
 def stem_normalize(tokens: Sequence[str], stemmer="identity") -> list[str]:
-    """Apply a registered stemmer (by name) or a callable to every token.
-
-    The stemmer must be a pure function of the word. It is called once per
-    distinct token, in order of first occurrence (the identity stemmer not
-    at all), and each token maps through that table.
-    """
+    """Apply a registered stemmer (by name) or a callable to every token."""
     if callable(stemmer):
         fn = stemmer
     else:
@@ -208,10 +199,7 @@ def stem_normalize(tokens: Sequence[str], stemmer="identity") -> list[str]:
             raise ValueError(
                 f"unknown stemmer {stemmer!r}; registered: {sorted(_STEMMERS)}"
             ) from None
-    if fn is identity_stem:
-        return list(tokens)
-    stems = {token: fn(token) for token in dict.fromkeys(tokens)}
-    return list(map(stems.__getitem__, tokens))
+    return [fn(token) for token in tokens]
 
 
 @dataclass(frozen=True)

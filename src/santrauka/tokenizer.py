@@ -296,18 +296,6 @@ class TokenSequence:
 
     def __post_init__(self):
         size = len(self.vocab)
-        try:
-            # bounds of the distinct ids at C speed; min and max skip a NaN
-            # that is not first, but a NaN makes the sum NaN
-            distinct = set(self.ids)
-            if not distinct or (
-                0 <= min(distinct) and max(distinct) < size
-                and (total := sum(distinct)) == total
-            ):
-                return
-        except TypeError:
-            pass
-        # name the first id out of range, or raise what comparing it raises
         for i in self.ids:
             if not 0 <= i < size:
                 raise ValueError(f"token id {i} outside [0, {size})")

@@ -1,10 +1,9 @@
 """Reference versions of the scoring primitives: the plain loops.
 
-``santrauka.tokenizer.word_tokenize``, ``ngrams`` and
-``santrauka.metrics.stem_normalize`` take shortcuts (no edge scan on
-alphanumeric edges, windows counted by ``zip`` over shifted copies, one
-stemmer call per distinct token). These are the straightforward versions
-they must match exactly, order included. Nothing here calls the package.
+``santrauka.tokenizer.word_tokenize`` and ``ngrams`` take shortcuts (no
+edge scan on alphanumeric edges, windows counted by ``zip`` over shifted
+copies). These are the straightforward versions they must match exactly,
+order included. Nothing here calls the package.
 """
 
 from __future__ import annotations
@@ -36,7 +35,3 @@ def slice_window_ngrams(tokens, n):
     """ngrams as one tuple slice per window."""
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
-
-def per_token_stem(tokens, fn):
-    """stem_normalize as one stemmer call per token."""
-    return [fn(token) for token in tokens]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scoring_oracle import category_word_tokenize, per_token_stem, slice_window_ngrams
+from scoring_oracle import category_word_tokenize, slice_window_ngrams
 from santrauka.metrics import (
     _STEMMERS,
     _lcs_len,
@@ -106,7 +106,7 @@ def random_tokens(rng, max_len=20, vocab=10):
 
 def evaluate_pair_oracle(candidate, reference, fn):
     """evaluate_pair's record from the loop oracles: category-lookup edge
-    scan, one stemmer call per token, slice windows and the LCS table."""
+    scan, slice windows and the LCS table."""
     def score(matched, cand_total, ref_total):
         return RougeScore.from_counts(matched, cand_total, ref_total).as_dict()
 
@@ -116,8 +116,8 @@ def evaluate_pair_oracle(candidate, reference, fn):
         return score(matched, sum(cand_grams.values()), sum(ref_grams.values()))
 
     words = category_word_tokenize(candidate, lowercase=True)
-    cand = per_token_stem(words, fn)
-    ref = per_token_stem(category_word_tokenize(reference, lowercase=True), fn)
+    cand = [fn(word) for word in words]
+    ref = [fn(word) for word in category_word_tokenize(reference, lowercase=True)]
     return {
         "rouge1": rouge_n_oracle(cand, ref, 1),
         "rouge2": rouge_n_oracle(cand, ref, 2),
@@ -353,31 +353,6 @@ class TestStemmers:
 
     def test_callable_accepted_directly(self):
         assert stem_normalize(["ab"], lambda w: w[0]) == ["a"]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        tokens=st.lists(
-            st.one_of(st.sampled_from(_LITHUANIAN_WORDS + ["namas", "namai", "Namas"]),
-                      st.text(_LITHUANIAN_ALPHABET, max_size=8)),
-            max_size=20,
-        ),
-        stemmer=st.sampled_from(["identity", "lithuanian-light", str.upper]),
-    )
-    def test_matches_one_call_per_token(self, tokens, stemmer):
-        fn = _STEMMERS.get(stemmer, stemmer)
-        assert stem_normalize(tokens, stemmer) == per_token_stem(tokens, fn)
-
-    @settings(max_examples=100, deadline=None)
-    @given(tokens=st.lists(st.sampled_from(["a", "b", "ą", "namas", ""]), max_size=20))
-    def test_stemmer_called_once_per_distinct_token(self, tokens):
-        calls = []
-
-        def counting(word):
-            calls.append(word)
-            return word[::-1]
-
-        assert stem_normalize(tokens, counting) == [t[::-1] for t in tokens]
-        assert calls == list(dict.fromkeys(tokens))
 
 
 def make_record(f1, length=1.0, repetitive=False):
