@@ -55,6 +55,9 @@ __all__ = [
 
 METHODS = ("greedy", "beam", "sample")
 
+#: A hypothesis inside the search, ``(-log_prob, ids)``: its order is the search order.
+_Pair = tuple[float, tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class DecodeConfig:
@@ -97,8 +100,8 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """Generated ids (no prompt) and their cumulative log-probability;
-    ``finished`` is False while live and True in every returned pool."""
+    """A ``return_all`` pool entry: generated ids (no prompt), their
+    cumulative log-probability, and ``finished``, True in every returned pool."""
 
     ids: tuple[int, ...]
     log_prob: float
@@ -234,13 +237,13 @@ def _ban_rows(dist: np.ndarray, banned: list, eos_id: int) -> np.ndarray:
 def _step(
     model: LanguageModel,
     prompt_ids: tuple[int, ...],
-    live: list[Hypothesis],
+    live: list[_Pair],
     config: DecodeConfig,
     sampling: bool,
 ) -> np.ndarray:
-    """The shaped next-token distribution of every live hypothesis, one row
-    each, from one batched model call."""
-    logits = model.next_logits_batch([prompt_ids + hyp.ids for hyp in live])
+    """The shaped next-token distribution of every live ``(neg, ids)`` pair,
+    one row each, from one batched model call."""
+    logits = model.next_logits_batch([prompt_ids + ids for _, ids in live])
     dist = softmax_rows(np.asarray(logits, dtype=float) / config.temperature)
     if sampling:
         if config.top_k is not None:
@@ -249,8 +252,8 @@ def _step(
             dist = _top_p_rows(dist, config.top_p)
     n = config.no_repeat_ngram_size
     # live hypotheses share one length
-    if n is not None and len(live[0].ids) >= n:
-        banned = [_banned(hyp.ids, n) for hyp in live]
+    if n is not None and len(live[0][1]) >= n:
+        banned = [_banned(ids, n) for _, ids in live]
         dist = _ban_rows(dist, banned, model.vocab.eos_id)
     return dist
 
@@ -288,7 +291,7 @@ def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _run_end(
-    base: float, row: list[float], tokens: list[int], start: int, neg_score: float
+    neg_base: float, row: list[float], tokens: list[int], start: int, neg_score: float
 ) -> tuple[int, float]:
     """End of the run of successors from ``tokens[start]`` that share its
     negated score, and the negated score after the run.
@@ -303,7 +306,7 @@ def _run_end(
     while stop < len(tokens):
         q = row[tokens[stop]]
         if q != p:
-            following = -(base + math.log(q))
+            following = neg_base - math.log(q)
             if following != neg_score:
                 break
             p, mixed = q, True
@@ -314,36 +317,33 @@ def _run_end(
 
 
 def _select(
-    live: list[Hypothesis],
+    live: list[_Pair],
     rows: list[list[float]],
     picks: list[list[int]],
     width: int,
     eos: int,
-    finished: list[Hypothesis],
-) -> tuple[list[Hypothesis], float]:
-    """The ``width`` best unfinished successors, in search order, and the
-    best score among the eos successors, which all go to ``finished``.
+    finished: list[_Pair],
+) -> list[_Pair]:
+    """The ``width`` best unfinished successors, in search order; every eos
+    successor is pushed onto the ``finished`` heap.
 
-    Search order is by score, then parent ids, then token; live ids share
-    one length, so (parent ids, token) orders as the successor's ids
-    would, without building them. Each row's picks come ranked, so a heap
-    over the rows' next successors yields them in that order, and only
-    the successors it reaches pay for a log and a tuple.
+    Search order is the order of ``(neg, ids)`` pairs: by score, then by
+    ids. Live ids share one length, so (parent ids, token) orders as the
+    successor's ids would, without building them. Each row's picks come
+    ranked, so a heap over the rows' next successors yields them in that
+    order, and only the successors it reaches pay for a log and a tuple.
     """
     heap, runs = [], []
-    best_finished = -math.inf
-    for i, (hyp, row, tokens) in enumerate(zip(live, rows, picks)):
+    for i, ((neg, ids), row, tokens) in enumerate(zip(live, rows, picks)):
         if eos in tokens:
-            score = hyp.log_prob + math.log(row[eos])
-            finished.append(Hypothesis(hyp.ids + (eos,), score, True))
-            best_finished = max(best_finished, score)
+            heapq.heappush(finished, (neg - math.log(row[eos]), ids + (eos,)))
             tokens = [t for t in tokens if t != eos]
         if tokens:
-            heap.append((-(hyp.log_prob + math.log(row[tokens[0]])), hyp.ids, tokens[0], i, 0))
+            heap.append((neg - math.log(row[tokens[0]]), ids, tokens[0], i, 0))
         # the row's tokens, the end of its measured run, the score after it
         runs.append([tokens, 0, 0.0])
     heapq.heapify(heap)
-    selected: list[Hypothesis] = []
+    selected = []
     while heap:
         neg_score, ids, token, i, j = heap[0]
         run = runs[i]
@@ -351,11 +351,11 @@ def _select(
         if j == run[1]:
             # token j starts a run of equal scores: measure the run before
             # taking any of it, as sorting it may put a lower token first
-            run[1], run[2] = _run_end(live[i].log_prob, rows[i], tokens, j, neg_score)
+            run[1], run[2] = _run_end(live[i][0], rows[i], tokens, j, neg_score)
             if tokens[j] != token:
                 heapq.heapreplace(heap, (neg_score, ids, tokens[j], i, j))
                 continue
-        selected.append(Hypothesis(ids + (token,), -neg_score, False))
+        selected.append((neg_score, ids + (token,)))
         if len(selected) == width:
             break
         j += 1
@@ -363,20 +363,22 @@ def _select(
             heapq.heapreplace(heap, (neg_score if j < run[1] else run[2], ids, tokens[j], i, j))
         else:
             heapq.heappop(heap)
-    return selected, best_finished
+    return selected
 
 
 def _search(
     model: LanguageModel, prompt, config: DecodeConfig
-) -> tuple[DecodeResult, list[Hypothesis]]:
-    """Search as ``config.method`` selects; the best result and the sorted pool.
+) -> tuple[DecodeResult, list[_Pair]]:
+    """Search as ``config.method`` selects; the best result and the pool of
+    ``(-log_prob, ids)`` pairs, sorted, the best first.
 
     Each step scores every live hypothesis with one batched model call,
     extends each by its most probable ids, or by seeded draws on sampling
-    paths, and keeps the ``width`` best unfinished candidates. Ordering is
-    by score, then by lexicographically smaller ids. Every eos successor
-    is finished at once; the rest meet in :func:`_select`'s lazy merge,
-    which stops as soon as ``width`` are live.
+    paths, and keeps the ``width`` best unfinished candidates. A pair's
+    natural order is the search order: by score, then by lexicographically
+    smaller ids. Every eos successor goes onto the ``finished`` heap at
+    once; the rest meet in :func:`_select`'s lazy merge, which stops as
+    soon as ``width`` are live.
     """
     beam = config.method == "beam"
     width = config.beam_size if beam else 1
@@ -384,13 +386,9 @@ def _search(
     rng = np.random.default_rng(config.seed) if sampling else None
     prompt_ids = token_ids(prompt)
     eos = model.vocab.eos_id
-    finished: list[Hypothesis] = []
-    best_finished = -math.inf
-    if prompt_ids and prompt_ids[-1] == eos:
-        finished.append(Hypothesis((), 0.0, True))
-        live: list[Hypothesis] = []
-    else:
-        live = [Hypothesis((), 0.0, False)]
+    # -0.0, so that a decode of probability 1 scores 0.0, not -0.0
+    start = (-0.0, ())
+    finished, live = ([start], []) if prompt_ids and prompt_ids[-1] == eos else ([], [start])
     for _ in range(config.max_length):
         if not live:
             break
@@ -401,21 +399,20 @@ def _search(
             picks = [_sampled_successors(row, width, rng) for row in dist]
         else:
             picks = [[_sample_index(row, rng)] for row in dist]
-        live, best = _select(live, dist.tolist(), picks, width, eos, finished)
-        best_finished = max(best_finished, best)
-        if live and best_finished > live[0].log_prob:
+        live = _select(live, dist.tolist(), picks, width, eos, finished)
+        if live and finished and finished[0][0] < live[0][0]:
             # every step adds log p <= 0, so no live hypothesis can reach
             # the best finished score; on a tie the id order could still
             # favour one, so ties keep decoding
             live = []
     # anything still alive ran out of budget and counts as finished
-    finished.extend(replace(hyp, finished=True) for hyp in live)
-    finished.sort(key=lambda h: (-h.log_prob, h.ids))
-    best, vocab = finished[0], model.vocab
-    surface = tuple(t for t in best.ids if not vocab.is_special(t))
-    result = DecodeResult(tokens=TokenSequence(best.ids, vocab),
+    finished.extend(live)
+    finished.sort()
+    (neg, ids), vocab = finished[0], model.vocab
+    surface = tuple(t for t in ids if not vocab.is_special(t))
+    result = DecodeResult(tokens=TokenSequence(ids, vocab),
                           text=detokenize(TokenSequence(surface, vocab)),
-                          score=best.log_prob, steps=len(best.ids))
+                          score=-neg, steps=len(ids))
     return result, finished
 
 
@@ -440,7 +437,9 @@ def beam_search(
     best result, sorted, the winner first.
     """
     result, finished = _search(model, prompt, replace(config, method="beam"))
-    return (result, finished) if return_all else result
+    if not return_all:
+        return result
+    return result, [Hypothesis(ids, -neg, True) for neg, ids in finished]
 
 
 def sample_decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:

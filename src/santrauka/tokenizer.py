@@ -258,10 +258,17 @@ class Vocabulary:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if line_no == 1 and line.startswith("{"):
-                    declared = json.loads(line)
+                    try:
+                        declared = json.loads(line)
+                    except (ValueError, RecursionError) as err:
+                        raise ValueError(f"line 1: {err}") from None
                     unknown = set(declared) - set(RESERVED_SPECIALS)
                     if unknown:
-                        raise ValueError(f"unknown special roles: {sorted(unknown)}")
+                        raise ValueError(f"line 1: unknown special roles: {sorted(unknown)}")
+                    if not all(name is None or isinstance(name, str)
+                               for name in declared.values()):
+                        raise ValueError(
+                            "line 1: key 'specials' must map roles to token strings or null")
                     continue
                 if not line:
                     continue

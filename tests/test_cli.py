@@ -226,12 +226,33 @@ class TestParseArgs:
                         "--beam-size", "many"])
         assert exc.value.code == 2
 
-    def test_missing_required_path_is_usage_error(self):
+    def test_missing_required_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["filter", "--input", "i"])
         assert exc.value.code == 2
         with pytest.raises(SystemExit):
             parse_args(["decode", "--input", "i", "--output", "o"])  # no --model
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["decode", "--output", "o", "--model", "m"])  # no --input
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: decode requires --input\n")
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("workers", 0, "--workers must be at least 1"),
+        ("n_validation", -1, "--n-validation must be nonnegative"),
+    ])
+    def test_out_of_range_count_is_usage_error(self, tmp_path, capsys, name, value, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({name: value}), encoding="utf-8")
+        flag = f"--{name.replace('_', '-')}={value}"
+        for extra in ([flag], ["--config", str(config_path)]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args([*_required_args("pipeline"), *extra])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ")
+            assert err.endswith(f"error: {message}\n")
 
     def test_invalid_domain_value_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -292,6 +313,15 @@ class TestConfigFilePrecedence:
             parse_args(["filter", "--input", "i", "--output", "o",
                         "--config", str(config_path)])
         assert exc.value.code == 2
+
+    def test_config_file_holding_an_array_is_a_usage_error(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps([{"seed": 3}]), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["filter", "--input", "i", "--output", "o",
+                        "--config", str(config_path)])
+        assert exc.value.code == 2
+        assert "--config file must hold a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         pytest.param(b"[" * 100_000, id="nested"),
@@ -675,6 +705,9 @@ class TestTrainAndDecodeCommands:
             ("a\t0.5\n<eos>\t0.0\n", "line 1: log_prob '0.5' must be <= 0 and not NaN"),
             ("a\t-1.0\nb\tNaN\n<eos>\t0.0\n", "line 2: log_prob 'NaN' must be <= 0"),
             ("a\t-1.0\n\t-2.0\n<eos>\t0.0\n", "line 2: empty token"),
+            ('{"eos": }\n<eos>\t0.0\n', "line 1: Expecting value"),
+            ('{"bos": "<s>"}\n<eos>\t0.0\n', "line 1: unknown special roles: ['bos']"),
+            ('{"eos": 3}\n<eos>\t0.0\n', "line 1: key 'specials' must map roles"),
         ]:
             vocab_path.write_text(text, encoding="utf-8")
             assert main(["train-lm", "--input", input_path, "--output", str(output_path),
@@ -815,6 +848,15 @@ class TestPipelineCommand:
         assert payload["decode_errors"] == 5
         assert payload["decoded"] == 0
         assert payload["evaluation"] is None
+
+    def test_all_validation_is_a_data_error(self, tmp_path, capsys):
+        input_path = write_jsonl(tmp_path / "corpus.jsonl", synthetic_articles(6))
+        report_path = tmp_path / "report.json"
+        assert main(["pipeline", "--input", input_path, "--output", str(report_path),
+                     "--n-validation", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: data: pipeline needs a non-empty training split\n")
+        assert not report_path.exists()
 
     def test_empty_corpus_is_a_zero_report(self, tmp_path):
         input_path = tmp_path / "empty.jsonl"

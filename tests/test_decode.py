@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from santrauka.cli import main
 from santrauka.decode import (
     DecodeConfig,
     batch_decode,
@@ -488,3 +490,37 @@ class TestSampleWithinBeam:
             for seed in range(20)
         }
         assert len(stochastic | {plain.tokens.ids}) > 1
+
+
+class TestScoreSign:
+    """A decode of probability 1 scores 0.0, not -0.0: the two compare equal,
+    but json.dumps writes the sign into every report."""
+
+    VOCAB = Vocabulary(["a", "<eos>"], [-1.0, 0.0], eos="<eos>")
+
+    @pytest.mark.parametrize("method", ["greedy", "beam", "sample"])
+    @pytest.mark.parametrize("prompt", [(), (1,)], ids=["empty", "eos-terminated"])
+    def test_certain_decode_scores_positive_zero(self, method, prompt):
+        model = TableModel(self.VOCAB, start=[0.0, 1.0])
+        result = decode(model, prompt, DecodeConfig(method=method, beam_size=2))
+        assert result.tokens.ids == (() if prompt else (1,))
+        assert repr(result.score) == "0.0"
+
+    def test_return_all_pool_scores_positive_zero(self):
+        model = TableModel(self.VOCAB, start=[0.0, 1.0])
+        _, pool = beam_search(model, (), DecodeConfig(method="beam", beam_size=2),
+                              return_all=True)
+        assert [repr(h.log_prob) for h in pool] == ["0.0"]
+
+    def test_cli_writes_positive_zero(self, tmp_path):
+        model = train_ngram([TokenSequence((), self.VOCAB)], order=2, alpha=0.0)
+        model_path = tmp_path / "model.json"
+        model.save(model_path)
+        requests = tmp_path / "req.jsonl"
+        requests.write_text('{"id": 1, "prompt": ""}\n', encoding="utf-8")
+        output_path = tmp_path / "res.jsonl"
+        assert main(["decode", "--input", str(requests), "--model", str(model_path),
+                     "--output", str(output_path)]) == 0
+        line = output_path.read_text(encoding="utf-8")
+        assert '"score": 0.0,' in line
+        assert json.loads(line)["steps"] == 1

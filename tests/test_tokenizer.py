@@ -286,10 +286,29 @@ class TestVocabulary:
             ('{"eos": "<eos>"}\na\tnan\n<eos>\t0.0\n',
              "line 2: log_prob 'nan' must be <= 0 and not NaN"),
             ("a\t-1.0\n\t-2.0\n<eos>\t0.0\n", "line 2: empty token"),
+            ('{"eos": "<eos>"}\n<eos>\t0.0\na -1.0\n', "line 3: expected token<TAB>log_prob"),
+            ('{"eos": }\n<eos>\t0.0\n', "line 1: Expecting value: line 1 column 9 (char 8)"),
+            ('{"eos": "<eos>", "bos": "<s>"}\n<eos>\t0.0\n',
+             "line 1: unknown special roles: ['bos']"),
+            ('{"eos": 3}\n<eos>\t0.0\n',
+             "line 1: key 'specials' must map roles to token strings or null"),
         ]:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Vocabulary.load(path)
+
+    def test_load_names_the_line_of_a_nested_header(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text('{"eos": ' + "[" * 100_000 + "\n<eos>\t0.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 1: maximum recursion depth"):
+            Vocabulary.load(path)
+
+    def test_load_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\na\t-1.0\n\n<eos>\t0.0\n\n", encoding="utf-8")
+        vocab = Vocabulary.load(path)
+        assert vocab.tokens == ("a", "<eos>")
+        assert vocab.eos_id == 1
 
     def test_hash_tracks_content(self):
         one = simple_vocab({"a": -1.0})
