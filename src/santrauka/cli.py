@@ -205,6 +205,10 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     for name, option in scope.items():
         flag_value = getattr(namespace, name)
+        if flag_value == []:
+            # argparse (Python 3.11, at least) drops a value of exactly "--"
+            # from "--flag=--" and stores the empty list left over
+            flag_value = "--"
         if flag_value is not None:
             resolved[name] = flag_value
         value = resolved.get(name)

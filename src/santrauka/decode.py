@@ -14,22 +14,32 @@ through inverse-CDF lookup, so outputs are reproducible bit for bit.
 
 ``DecodeConfig.method`` selects the search, and all three run one loop:
 greedy and sampling keep one hypothesis, beam search keeps ``beam_size``.
-Each step scores every live hypothesis, prompt plus generated ids, with
-one ``next_logits_batch`` call and shapes the rows together; every row is
-bit-identical to shaping that hypothesis alone. The n-gram ban reads the
-generated ids only, so n-grams of the prompt never ban a token.
+Each step keys every live hypothesis by its context (the last
+``model.context_width`` ids of prompt plus generated ids), its banned ids
+and whether the ban stage has begun. The model is called only for keys not
+yet met with this model and shaping: one ``next_logits_batch`` call scores
+them, their rows are shaped together, each bit-identical to shaping that
+row alone, and each becomes a record. A greedy or beam record holds the
+row's ranked successors cut at the width, with their probabilities and
+``math.log``s and the eos successor split out; a sampling record holds the
+shaped row and what its seeded draw reads. The records live in a
+per-model memo, one per distinct key met, and go when the model does. A
+model whose ``context_width`` is None reads the whole prefix, so its keys
+never repeat and it keeps no records. The n-gram ban reads the generated
+ids only, so n-grams of the prompt never ban a token.
 
 Selection never sorts a step's candidates. Each row's successors come
 ranked most probable first, so their scores never rise along the row; a
 heap merges the rows and stops once ``width`` are live, so only the
-candidates it reaches are scored, each with ``math.log`` on a Python
-float. The pool and every output equal those of a full sort.
+candidates it reaches are scored, each from its record's log. The pool
+and every output equal those of a full sort.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -57,6 +67,15 @@ METHODS = ("greedy", "beam", "sample")
 
 #: A hypothesis inside the search, ``(-log_prob, ids)``: its order is the search order.
 _Pair = tuple[float, tuple[int, ...]]
+
+#: A row's ranked successors: the eos successor's log-probability, or None
+#: when eos is not among them, then the other ids, most probable first,
+#: with their probabilities and ``math.log``s.
+_Successors = tuple[float | None, tuple[int, ...], tuple[float, ...], tuple[float, ...]]
+
+#: model -> shaping -> (context, banned ids, ban stage begun) -> record;
+#: a model's records go when the model does.
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -234,92 +253,154 @@ def _ban_rows(dist: np.ndarray, banned: list, eos_id: int) -> np.ndarray:
     return dist
 
 
+def _memo(model: LanguageModel, config: DecodeConfig, width: int, sampling: bool):
+    """The model's records under this search's shaping, or None for a model
+    whose logits read the whole prefix: its keys never repeat."""
+    if model.context_width is None:
+        return None
+    shaping = ((config.temperature, config.top_k, config.top_p, config.method, width)
+               if sampling else (config.temperature, width))
+    return _MEMO.setdefault(model, {}).setdefault(shaping, {})
+
+
 def _step(
     model: LanguageModel,
     prompt_ids: tuple[int, ...],
     live: list[_Pair],
     config: DecodeConfig,
+    width: int,
     sampling: bool,
-) -> np.ndarray:
-    """The shaped next-token distribution of every live ``(neg, ids)`` pair,
-    one row each, from one batched model call."""
-    logits = model.next_logits_batch([prompt_ids + ids for _, ids in live])
+    memo: dict | None,
+) -> list:
+    """The record of every live ``(neg, ids)`` pair, one each.
+
+    A row's key is its context, the last ``model.context_width`` ids of
+    prompt plus ids, with its sorted banned ids and whether the ban stage
+    has begun. Keys the memo lacks are scored with one batched model call,
+    shaped together and stored; every record is bit-identical to shaping
+    that hypothesis alone.
+    """
+    n = config.no_repeat_ngram_size
+    # live hypotheses share one length
+    generated = len(live[0][1])
+    stage = n is not None and generated >= n
+    w = model.context_width
+    start = 0 if w is None else max(len(prompt_ids) + generated - w, 0)
+    keys = [((prompt_ids + ids)[start:],
+             tuple(sorted(set(_banned(ids, n)))) if stage else (), stage)
+            for _, ids in live]
+    records = {} if memo is None else memo
+    missing = [key for key in dict.fromkeys(keys) if key not in records]
+    if missing:
+        records.update(zip(missing, _shape(model, missing, config, width, sampling)))
+    return [records[key] for key in keys]
+
+
+def _shape(
+    model: LanguageModel, keys: list, config: DecodeConfig, width: int, sampling: bool
+) -> list:
+    """The records of ``keys``, from one ``next_logits_batch`` call."""
+    eos = model.vocab.eos_id
+    logits = model.next_logits_batch([context for context, _, _ in keys])
     dist = softmax_rows(np.asarray(logits, dtype=float) / config.temperature)
     if sampling:
         if config.top_k is not None:
             dist = _top_k_rows(dist, config.top_k)
         if config.top_p is not None:
             dist = _top_p_rows(dist, config.top_p)
-    n = config.no_repeat_ngram_size
-    # live hypotheses share one length
-    if n is not None and len(live[0][1]) >= n:
-        banned = [_banned(ids, n) for _, ids in live]
-        dist = _ban_rows(dist, banned, model.vocab.eos_id)
-    return dist
+    # a step's keys share its ban stage
+    if keys[0][2]:
+        dist = _ban_rows(dist, [banned for _, banned, _ in keys], eos)
+    if not sampling:
+        return _best_successors(dist, width, eos)
+    if config.method == "beam":
+        # what _sampled_successors' draw without replacement reads
+        return [(row, row / row.sum(), min(width, int(np.count_nonzero(row)))) for row in dist]
+    # what _sample_index's inverse-CDF lookup reads
+    return [(row, np.cumsum(row)) for row in dist]
 
 
-def _best_successors(dist: np.ndarray, width: int) -> list[list[int]]:
+def _successors(tokens: list[int], probs: list[float], eos: int) -> _Successors:
+    """Ranked successors and their probabilities as a record: eos split out
+    as its log-probability, the rest with their logs."""
+    eos_log = None
+    if eos in tokens:
+        k = tokens.index(eos)
+        del tokens[k]
+        eos_log = math.log(probs.pop(k))
+    return eos_log, tuple(tokens), tuple(probs), tuple(map(math.log, probs))
+
+
+def _best_successors(dist: np.ndarray, width: int, eos: int) -> list[_Successors]:
+    """Each row's ``width`` most probable ids of positive probability."""
     if width == 1:
         # argmax also takes the lowest id among ties, at a fraction of the
         # cost, and a distribution's top entry is always positive
-        return [[token] for token in dist.argmax(axis=1).tolist()]
-    order = _by_probability(dist)[:, :width].tolist()
+        order = dist.argmax(axis=1)[:, None]
+    else:
+        order = _by_probability(dist)[:, :width]
+    ranked = np.take_along_axis(dist, order, axis=1)
     # positive entries sort first, so each row keeps a head of its order
-    support = (dist > 0.0).sum(axis=1).tolist()
-    return [ids[:count] for ids, count in zip(order, support)]
+    support = (ranked > 0.0).sum(axis=1).tolist()
+    return [_successors(ids[:count], probs[:count], eos)
+            for ids, probs, count in zip(order.tolist(), ranked.tolist(), support)]
 
 
-def _sampled_successors(
-    dist: np.ndarray, count: int, rng: np.random.Generator
-) -> list[int]:
+def _sampled_successors(record, rng: np.random.Generator) -> list[int]:
     """Seeded draws without replacement, ranked as :func:`_by_probability`
     ranks them, most probable first."""
-    support = int(np.count_nonzero(dist))
-    size = min(count, support)
-    picks = rng.choice(dist.size, size=size, replace=False, p=dist / dist.sum())
-    return sorted(picks.tolist(), key=lambda t: (-dist[t], t))
+    row, p, size = record
+    picks = rng.choice(row.size, size=size, replace=False, p=p)
+    return sorted(picks.tolist(), key=lambda t: (-row[t], t))
 
 
-def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
-    cumulative = np.cumsum(dist)
+def _sample_index(record, rng: np.random.Generator) -> int:
+    row, cumulative = record
     u = rng.random() * cumulative[-1]
     idx = int(np.searchsorted(cumulative, u, side="right"))
-    idx = min(idx, dist.size - 1)
-    while idx > 0 and dist[idx] == 0.0:
+    idx = min(idx, row.size - 1)
+    while idx > 0 and row[idx] == 0.0:
         idx -= 1
     return idx
 
 
-def _run_end(
-    neg_base: float, row: list[float], tokens: list[int], start: int, neg_score: float
-) -> tuple[int, float]:
-    """End of the run of successors from ``tokens[start]`` that share its
-    negated score, and the negated score after the run.
+def _draws(records: list, rng: np.random.Generator, beam: bool, eos: int) -> list[_Successors]:
+    """Each sampling record's seeded draws, in live order, as successors."""
+    drawn = []
+    for record in records:
+        tokens = _sampled_successors(record, rng) if beam else [_sample_index(record, rng)]
+        drawn.append(_successors(tokens, [record[0].item(t) for t in tokens], eos))
+    return drawn
 
-    ``tokens`` are ranked most probable first, so scores never rise along
-    them, and tokens of equal probability already ascend. Yet unequal
-    probabilities can round to one score, where the lower token must go
-    first, so a run that mixes probabilities is sorted in place. Only a
-    change of probability costs a log.
+
+def _run_end(
+    neg_base: float, probs: tuple[float, ...], logs: tuple[float, ...], start: int,
+    neg_score: float,
+) -> tuple[int, float, bool]:
+    """End of the run of successors from ``start`` that share its negated
+    score, the negated score after the run, and whether the run mixes
+    probabilities.
+
+    Successors are ranked most probable first, so scores never rise along
+    them, and ids of equal probability already ascend. Yet unequal
+    probabilities can round to one score, where the lower id must go
+    first, so a mixed run must be sorted by id.
     """
-    stop, p, mixed, following = start + 1, row[tokens[start]], False, neg_score
-    while stop < len(tokens):
-        q = row[tokens[stop]]
+    stop, p, mixed, following = start + 1, probs[start], False, neg_score
+    while stop < len(probs):
+        q = probs[stop]
         if q != p:
-            following = neg_base - math.log(q)
+            following = neg_base - logs[stop]
             if following != neg_score:
                 break
             p, mixed = q, True
         stop += 1
-    if mixed:
-        tokens[start:stop] = sorted(tokens[start:stop])
-    return stop, following
+    return stop, following, mixed
 
 
 def _select(
     live: list[_Pair],
-    rows: list[list[float]],
-    picks: list[list[int]],
+    successors: list[_Successors],
     width: int,
     eos: int,
     finished: list[_Pair],
@@ -329,17 +410,16 @@ def _select(
 
     Search order is the order of ``(neg, ids)`` pairs: by score, then by
     ids. Live ids share one length, so (parent ids, token) orders as the
-    successor's ids would, without building them. Each row's picks come
-    ranked, so a heap over the rows' next successors yields them in that
-    order, and only the successors it reaches pay for a log and a tuple.
+    successor's ids would, without building them. Each row's successors
+    come ranked, so a heap over the rows' next successors yields them in
+    that order, and only the successors it reaches pay for a tuple.
     """
     heap, runs = [], []
-    for i, ((neg, ids), row, tokens) in enumerate(zip(live, rows, picks)):
-        if eos in tokens:
-            heapq.heappush(finished, (neg - math.log(row[eos]), ids + (eos,)))
-            tokens = [t for t in tokens if t != eos]
+    for i, ((neg, ids), (eos_log, tokens, _, logs)) in enumerate(zip(live, successors)):
+        if eos_log is not None:
+            heapq.heappush(finished, (neg - eos_log, ids + (eos,)))
         if tokens:
-            heap.append((neg - math.log(row[tokens[0]]), ids, tokens[0], i, 0))
+            heap.append((neg - logs[0], ids, tokens[0], i, 0))
         # the row's tokens, the end of its measured run, the score after it
         runs.append([tokens, 0, 0.0])
     heapq.heapify(heap)
@@ -351,10 +431,15 @@ def _select(
         if j == run[1]:
             # token j starts a run of equal scores: measure the run before
             # taking any of it, as sorting it may put a lower token first
-            run[1], run[2] = _run_end(live[i][0], rows[i], tokens, j, neg_score)
-            if tokens[j] != token:
-                heapq.heapreplace(heap, (neg_score, ids, tokens[j], i, j))
-                continue
+            _, _, probs, logs = successors[i]
+            stop, run[2], mixed = _run_end(live[i][0], probs, logs, j, neg_score)
+            run[1] = stop
+            if mixed:
+                # records are shared, so the sorted run is a new tuple
+                tokens = run[0] = tokens[:j] + tuple(sorted(tokens[j:stop])) + tokens[stop:]
+                if tokens[j] != token:
+                    heapq.heapreplace(heap, (neg_score, ids, tokens[j], i, j))
+                    continue
         selected.append((neg_score, ids + (token,)))
         if len(selected) == width:
             break
@@ -372,18 +457,19 @@ def _search(
     """Search as ``config.method`` selects; the best result and the pool of
     ``(-log_prob, ids)`` pairs, sorted, the best first.
 
-    Each step scores every live hypothesis with one batched model call,
-    extends each by its most probable ids, or by seeded draws on sampling
-    paths, and keeps the ``width`` best unfinished candidates. A pair's
-    natural order is the search order: by score, then by lexicographically
-    smaller ids. Every eos successor goes onto the ``finished`` heap at
-    once; the rest meet in :func:`_select`'s lazy merge, which stops as
-    soon as ``width`` are live.
+    Each step looks up every live hypothesis's record, scoring the missing
+    ones with one batched model call, extends each by its most probable
+    ids, or by seeded draws on sampling paths, and keeps the ``width`` best
+    unfinished candidates. A pair's natural order is the search order: by
+    score, then by lexicographically smaller ids. Every eos successor goes
+    onto the ``finished`` heap at once; the rest meet in :func:`_select`'s
+    lazy merge, which stops as soon as ``width`` are live.
     """
     beam = config.method == "beam"
     width = config.beam_size if beam else 1
     sampling = config.method == "sample" or (beam and config.sample_within_beam)
     rng = np.random.default_rng(config.seed) if sampling else None
+    memo = _memo(model, config, width, sampling)
     prompt_ids = token_ids(prompt)
     eos = model.vocab.eos_id
     # -0.0, so that a decode of probability 1 scores 0.0, not -0.0
@@ -392,14 +478,9 @@ def _search(
     for _ in range(config.max_length):
         if not live:
             break
-        dist = _step(model, prompt_ids, live, config, sampling)
-        if not sampling:
-            picks = _best_successors(dist, width)
-        elif beam:
-            picks = [_sampled_successors(row, width, rng) for row in dist]
-        else:
-            picks = [[_sample_index(row, rng)] for row in dist]
-        live = _select(live, dist.tolist(), picks, width, eos, finished)
+        records = _step(model, prompt_ids, live, config, width, sampling, memo)
+        successors = _draws(records, rng, beam, eos) if sampling else records
+        live = _select(live, successors, width, eos, finished)
         if live and finished and finished[0][0] < live[0][0]:
             # every step adds log p <= 0, so no live hypothesis can reach
             # the best finished score; on a tie the id order could still

@@ -91,7 +91,16 @@ class LanguageModel(ABC):
     ``next_logits`` must be deterministic for a fixed model and prefix and
     return one score per vocabulary id. Models are immutable once built
     and safe to share across workers.
+
+    ``context_width`` is how many trailing prefix ids the logits read:
+    ``next_logits`` of a prefix must equal, bit for bit, ``next_logits`` of
+    its last ``context_width`` ids (all of a shorter prefix). Decoders key
+    what they shape from a row by those ids and keep it while the model
+    lives, so such a model must be hashable and weakly referenceable. None,
+    the default, means the whole prefix, and decoders keep nothing.
     """
+
+    context_width: int | None = None
 
     @property
     @abstractmethod
@@ -185,6 +194,10 @@ class NGramModel(LanguageModel):
     @property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
         return self._counts
+
+    @property
+    def context_width(self) -> int:
+        return self._order - 1
 
     def context_of(self, prefix) -> tuple[int, ...]:
         """Last order-1 prefix ids, left-padded with BEGIN markers."""
@@ -350,8 +363,11 @@ class TableModel(LanguageModel):
     """First-order lookup model: one distribution per last prefix token.
 
     Useful for fixtures and demos where exact next-token probabilities
-    must be dictated rather than estimated.
+    must be dictated rather than estimated. An empty prefix reads the
+    start row.
     """
+
+    context_width = 1
 
     def __init__(
         self,

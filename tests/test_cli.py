@@ -465,6 +465,8 @@ class TestRenderRoundTrip:
     @given(config=_run_configs)
     @example(config=RunConfig(command="pipeline", input="-a.jsonl", output="--o",
                               vocab="--v", alpha=-1.5))
+    @example(config=RunConfig(command="filter", input="0", output="--"))
+    @example(config=RunConfig(command="stats", input="--", output="--"))
     def test_round_trip_property(self, config):
         assert parse_args(render_args(config)) == config
 

@@ -5,22 +5,29 @@ does the same floating-point operations in the same order, only on a
 whole beam's rows at once and with fewer steps.
 """
 
+import gc
 import math
+import sys
+import weakref
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decode_oracle as oracle
 from santrauka.decode import (
     DecodeConfig,
+    batch_decode,
     beam_search,
     block_repeated_ngrams,
+    decode,
     greedy_decode,
     sample_decode,
 )
 from santrauka.fixtures import greedy_trap_model
-from santrauka.lm import LanguageModel, TableModel, softmax, train_ngram
+from santrauka.lm import LanguageModel, TableModel, UnseenContextError, softmax, train_ngram
 from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -185,6 +192,13 @@ class LogitTable(LanguageModel):
         return np.array(self.rows[ids[-1]] if ids else self.start)
 
 
+class LastIdLogitTable(LogitTable):
+    """A :class:`LogitTable` that declares it reads the last id only, so
+    its decodes share records."""
+
+    context_width = 1
+
+
 def test_one_ulp_apart_probabilities_with_one_score_take_the_lower_token():
     # after token 0, token 3 is one ulp likelier than token 2, yet behind
     # the score of (0,) both round to one score, where search order takes
@@ -195,20 +209,24 @@ def test_one_ulp_apart_probabilities_with_one_score_take_the_lower_token():
     after_zero = [0.0, -6.0, low, float(np.nextafter(low, 0.0)), -4.0]
     only_one = [-9.0, 0.0, -9.0, -9.0, -9.0]
     only_eos = [-9.0, -9.0, -9.0, -9.0, 0.0]
-    model = LogitTable(vocab, [0.0, -0.2, -9.0, -9.0, -3.0],
-                       {0: after_zero, 1: only_one, 2: only_eos, 3: only_eos, eos: only_eos})
-    base = math.log(softmax(model.next_logits(()))[0])
-    p = softmax(model.next_logits((0,)))
-    assert p[3] == np.nextafter(p[2], 1.0)
-    assert math.log(p[3]) != math.log(p[2])
-    assert base + math.log(p[3]) == base + math.log(p[2])
-    config = DecodeConfig(method="beam", beam_size=3, max_length=3)
-    result, pool = beam_search(model, (), config, return_all=True)
-    expected = oracle.beam_search(model, (), config)
-    assert pool == expected
-    assert (0, 2, eos) in [h.ids for h in pool]
-    assert (0, 3, eos) not in [h.ids for h in pool]
-    assert result.tokens.ids == expected[0].ids
+    rows = {0: after_zero, 1: only_one, 2: only_eos, 3: only_eos, eos: only_eos}
+    start = [0.0, -0.2, -9.0, -9.0, -3.0]
+    # the second model shares its records between decodes: sorting the
+    # mixed run of the first decode must not reorder the second's
+    for model in (LogitTable(vocab, start, rows), LastIdLogitTable(vocab, start, rows)):
+        base = math.log(softmax(model.next_logits(()))[0])
+        p = softmax(model.next_logits((0,)))
+        assert p[3] == np.nextafter(p[2], 1.0)
+        assert math.log(p[3]) != math.log(p[2])
+        assert base + math.log(p[3]) == base + math.log(p[2])
+        config = DecodeConfig(method="beam", beam_size=3, max_length=3)
+        expected = oracle.beam_search(model, (), config)
+        for _ in range(2):
+            result, pool = beam_search(model, (), config, return_all=True)
+            assert pool == expected
+            assert (0, 2, eos) in [h.ids for h in pool]
+            assert (0, 3, eos) not in [h.ids for h in pool]
+            assert result.tokens.ids == expected[0].ids
 
 
 @PROPERTY_SETTINGS
@@ -297,3 +315,133 @@ def test_early_stop_skips_steps_after_the_winner_finishes():
     expected = oracle.beam_search(reference, (), config)
     assert (result.tokens.ids, result.score) == (expected[0].ids, expected[0].log_prob)
     assert counted.rows < reference.rows
+
+
+# --- the per-model memo of shaped records -----------------------------------
+
+decode_module = sys.modules["santrauka.decode"]  # the package attribute is the function
+
+any_configs = st.builds(
+    DecodeConfig,
+    method=st.sampled_from(["greedy", "beam", "sample"]),
+    beam_size=st.integers(1, 4),
+    top_k=st.none() | st.integers(1, 5),
+    top_p=st.none() | st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+    temperature=st.sampled_from([0.5, 1.0, 2.0]),
+    no_repeat_ngram_size=st.none() | st.integers(1, 3),
+    max_length=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    sample_within_beam=st.booleans(),
+)
+
+
+def assert_equals_oracle(model, prompt, config):
+    if config.method == "beam":
+        result, pool = beam_search(model, prompt, config, return_all=True)
+        expected = oracle.beam_search(model, prompt, config)
+        assert (result.tokens.ids, result.score) == (expected[0].ids, expected[0].log_prob)
+        assert pool[0] == expected[0]
+        assert set(pool) <= set(expected)
+    else:
+        reference = oracle.greedy_decode if config.method == "greedy" else oracle.sample_decode
+        result = decode(model, prompt, config)
+        assert (result.tokens.ids, result.score) == reference(model, prompt, config)
+
+
+def renorm_table():
+    """From id 1 or 2 the top successor is id 0 at 3/6, from 0 it is id 1.
+    Their softmax rows sum to just under 1, so dividing a row by its sum
+    changes the bits: a ban-stage row with no banned id is not the row
+    before the ban stage, though both share one context."""
+    sixths = np.array([[1, 3, 1, 1], [3, 1, 1, 1], [3, 1, 1, 1], [1, 1, 1, 3]]) / 6
+    return table(3, [0.25] * 4, dict(enumerate(sixths)))
+
+
+GREEDY_BAN_2 = DecodeConfig(method="greedy", no_repeat_ngram_size=2, max_length=4)
+
+
+def test_renormalizing_a_renorm_table_row_changes_its_bits():
+    p = softmax(renorm_table().next_logits((1,)))
+    assert (p / p.sum())[0] != p[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models, runs=st.lists(st.tuples(any_configs, st.lists(st.integers(0, 5), max_size=4)),
+                                   min_size=1, max_size=5))
+# prompt (1,) meets context (1,) before the ban stage at step 0 and in it,
+# with no banned id, at step 2 (ids 0, 1); prompt (2,) meets the ban-stage
+# key first, and prompt (1,) after it the other
+@example(model=renorm_table(), runs=[(GREEDY_BAN_2, [1])])
+@example(model=renorm_table(), runs=[(GREEDY_BAN_2, [2]), (GREEDY_BAN_2, [1])])
+# a one-wide sampled beam draws without replacement, plain sampling by the
+# inverse CDF: one shaping otherwise, so their records must stay apart
+@example(model=TIED_TWO, runs=[(DecodeConfig(method="sample", max_length=3), []),
+                               (DecodeConfig(method="beam", sample_within_beam=True,
+                                             max_length=3), [])])
+def test_warm_memo_equals_cold_and_the_oracle(model, runs):
+    size = len(model.vocab)
+    runs = [(config, tuple(t % size for t in prompt)) for config, prompt in runs]
+    # the first pass fills the memo as it goes, the second reads it warm
+    for _ in range(2):
+        for config, prompt in runs:
+            assert_equals_oracle(model, prompt, config)
+    assert model in decode_module._MEMO
+
+
+BEAM_BAN_2 = DecodeConfig(method="beam", beam_size=3, no_repeat_ngram_size=2, max_length=8)
+
+
+def test_memo_goes_with_its_model():
+    model = random_ngram_model(3, 4, 3, 0.3)
+    decode(model, (0, 1), BEAM_BAN_2)
+    assert decode_module._MEMO[model]
+    before = len(decode_module._MEMO)
+    gone = weakref.ref(model)
+    del model
+    gc.collect()
+    assert gone() is None
+    assert len(decode_module._MEMO) < before
+
+
+def test_whole_prefix_models_store_nothing():
+    vocab = make_vocab(2)
+    logits = LogitTable(vocab, [0.0, -1.0, -2.0], {t: [-1.0, 0.0, -0.5] for t in range(3)})
+    counted = CountingModel(random_table_model(4, 2))
+    for model in (logits, counted):
+        assert model.context_width is None
+        for config in (BEAM_BAN_2, GREEDY_BAN_2, replace(BEAM_BAN_2, sample_within_beam=True)):
+            decode(model, (0,), config)
+        assert model not in decode_module._MEMO
+
+
+def test_unseen_context_stores_nothing_and_raises_again():
+    vocab = make_vocab(2)
+    # context (1,) was never counted, and alpha=0 leaves it undefined
+    model = train_ngram([TokenSequence((0, 0), vocab)], 2, 0.0)
+    config = replace(GREEDY_BAN_2, no_repeat_ngram_size=None)
+    for _ in range(2):
+        with pytest.raises(UnseenContextError):
+            decode(model, (1,), config)
+        assert not any(key[0] == (1,) for records in decode_module._MEMO.get(model, {}).values()
+                       for key in records)
+    errors = []
+    results = batch_decode(model, [(0,), (1,), (0,)], config, errors=errors)
+    assert results[0] == results[2] == decode(model, (0,), config)
+    assert results[1] is None
+    assert [i for i, _ in errors] == [1]
+    assert "UnseenContextError" in errors[0][1]
+
+
+def test_greedy_records_hold_one_successor_on_a_large_vocabulary():
+    vocab = make_vocab(4000)
+    rng = np.random.default_rng(5)
+    streams = [TokenSequence(tuple(int(t) for t in rng.integers(0, 4000, 30)), vocab)
+               for _ in range(4)]
+    model = train_ngram(streams, 2, 0.5)
+    decode(model, streams[0].ids[:3], replace(GREEDY_BAN_2, max_length=20))
+    records = [record for shaped in decode_module._MEMO[model].values()
+               for record in shaped.values()]
+    assert records
+    for eos_log, tokens, probs, logs in records:
+        assert (eos_log is not None) + len(tokens) == 1
+        assert len(probs) == len(logs) == len(tokens)

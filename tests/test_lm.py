@@ -392,6 +392,49 @@ class TestNegativeLogLikelihood:
             assert math.isfinite(negative_log_likelihood(model, [seq]))
 
 
+def context_tail(prefix, width):
+    """The last ``width`` ids of ``prefix``: all of it when shorter."""
+    return prefix[max(len(prefix) - width, 0):]
+
+
+class TestContextWidth:
+    """``next_logits`` reads no more of the prefix than ``context_width``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        alpha=st.sampled_from([0.0, 0.05, 1.0]),
+        prefix=st.lists(st.integers(0, 3), max_size=6),
+    )
+    def test_ngram_logits_read_the_last_order_minus_one_ids(self, order, alpha, prefix):
+        model = memo_model(order, alpha)
+        assert model.context_width == order - 1
+        prefix = tuple(prefix)
+        tail = context_tail(prefix, model.context_width)
+        try:
+            expected = model.next_logits(prefix)
+        except UnseenContextError:
+            with pytest.raises(UnseenContextError):
+                model.next_logits(tail)
+        else:
+            assert model.next_logits(tail).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3),
+                         min_size=4, max_size=4),
+        prefix=st.lists(st.integers(0, 2), max_size=6),
+    )
+    def test_table_logits_read_the_last_id(self, weights, prefix):
+        rows = [np.array(w, dtype=float) + [1.0, 0.0, 0.0] for w in weights]
+        start, *transitions = [row / row.sum() for row in rows]
+        model = TableModel(ab_vocab(), start, dict(enumerate(transitions)))
+        assert model.context_width == 1
+        prefix = tuple(prefix)
+        tail = context_tail(prefix, model.context_width)
+        assert model.next_logits(tail).tobytes() == model.next_logits(prefix).tobytes()
+
+
 class TestTableModel:
     def test_rejects_bad_rows(self):
         vocab = ab_vocab()
