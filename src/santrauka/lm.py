@@ -93,11 +93,13 @@ class LanguageModel(ABC):
     and safe to share across workers.
 
     ``context_width`` is how many trailing prefix ids the logits read:
-    ``next_logits`` of a prefix must equal, bit for bit, ``next_logits`` of
-    its last ``context_width`` ids (all of a shorter prefix). Decoders key
-    what they shape from a row by those ids and keep it while the model
-    lives, so such a model must be hashable and weakly referenceable. None,
-    the default, means the whole prefix, and decoders keep nothing.
+    ``next_logits`` and ``next_distribution`` of a prefix must equal, bit
+    for bit, those of its last ``context_width`` ids (all of a shorter
+    prefix), and :func:`negative_log_likelihood` passes only those ids.
+    Decoders key what they shape from a row by those ids and keep it while
+    the model lives, so such a model must be hashable and weakly
+    referenceable. None, the default, means the whole prefix, and decoders
+    keep nothing.
     """
 
     context_width: int | None = None
@@ -112,10 +114,13 @@ class LanguageModel(ABC):
     def next_logits_batch(self, prefixes: Sequence) -> np.ndarray:
         """Logits of every prefix as an (n x V) matrix, row i for prefix i.
 
-        Row i must equal ``next_logits(prefixes[i])`` bit for bit; this
-        default stacks those calls, and models override it to do one call.
+        Row i must equal ``next_logits(prefixes[i])`` bit for bit. This
+        default stacks those calls; a model with a real batched forward
+        pass overrides it.
         """
-        return np.stack([np.asarray(self.next_logits(p), dtype=float) for p in prefixes])
+        rows = [np.asarray(self.next_logits(p), dtype=float) for p in prefixes]
+        # the reshape gives an empty batch its (0 x V) shape
+        return np.array(rows).reshape(len(rows), len(self.vocab))
 
     def next_distribution(self, prefix) -> np.ndarray:
         return softmax(self.next_logits(prefix))
@@ -131,12 +136,10 @@ def _check_order_alpha(order: int, alpha: float) -> None:
 class NGramModel(LanguageModel):
     """Count-based conditional model of fixed order with additive smoothing.
 
-    The log row of a context is computed on its first call and kept: the
-    model never changes, so a kept row never goes stale. Every context
-    without counts shares one uniform row, which bounds the kept rows at
-    (observed contexts + 1) x V floats. With ``alpha=0`` such a context
-    has no distribution and raises :class:`UnseenContextError` on every
-    call.
+    Each row is computed from the counts on every call and nothing is
+    kept; decoders keep what they shape from a row. With ``alpha=0`` a
+    context without counts has no distribution and raises
+    :class:`UnseenContextError`.
     """
 
     def __init__(
@@ -154,9 +157,6 @@ class NGramModel(LanguageModel):
         self._totals = {}
         #: context -> (token ids, counts) as arrays, for filling a row
         self._rows = {}
-        #: context -> log row, filled on first use; None keys the shared
-        #: row of every context without counts
-        self._log_rows: dict[tuple[int, ...] | None, np.ndarray] = {}
         size = len(vocab)
         for ctx, bucket in counts.items():
             if len(ctx) != order - 1:
@@ -223,28 +223,12 @@ class NGramModel(LanguageModel):
         row /= denom
         return row
 
-    def _log_row(self, ctx: tuple[int, ...]) -> np.ndarray:
-        row = self._log_rows.get(ctx)
-        if row is None:
-            key = ctx if self._totals.get(ctx) else None
-            row = self._log_rows.get(key)
-            if row is None:
-                with np.errstate(divide="ignore"):
-                    row = np.log(self._probs(ctx))
-                row.flags.writeable = False
-                self._log_rows[key] = row
-        return row
-
     def next_distribution(self, prefix) -> np.ndarray:
         return self._probs(self.context_of(prefix))
 
-    def next_logits_batch(self, prefixes: Sequence) -> np.ndarray:
-        rows = [self._log_row(self.context_of(p)) for p in prefixes]
-        # the reshape gives an empty batch its (0 x V) shape
-        return np.array(rows).reshape(len(rows), len(self._vocab))
-
     def next_logits(self, prefix) -> np.ndarray:
-        return self._log_row(self.context_of(prefix)).copy()
+        with np.errstate(divide="ignore"):
+            return np.log(self._probs(self.context_of(prefix)))
 
     def to_dict(self) -> dict:
         return {
@@ -344,18 +328,18 @@ def negative_log_likelihood(model: LanguageModel, dataset: Iterable) -> float:
     the likelihood undefined and raises ValueError naming the position.
     """
     eos = model.vocab.eos_id
+    width = model.context_width
     total = 0.0
     for k, stream in enumerate(dataset):
-        ids = token_ids(stream)
-        prefix: list[int] = []
-        for i, tok in enumerate(ids + (eos,)):
-            p = float(model.next_distribution(tuple(prefix))[tok])
+        ids = token_ids(stream) + (eos,)
+        for i, tok in enumerate(ids):
+            start = 0 if width is None else max(i - width, 0)
+            p = float(model.next_distribution(ids[start:i])[tok])
             if p <= 0.0:
                 raise ValueError(
                     f"zero probability for token {tok} at sequence {k}, position {i}"
                 )
             total -= math.log(p)
-            prefix.append(tok)
     return total
 
 

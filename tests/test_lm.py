@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from santrauka.corpus import FilterConfig
 from santrauka.decode import DecodeConfig, batch_decode
+from santrauka.fixtures import greedy_trap_model
 from santrauka.lm import (
     BEGIN,
+    LanguageModel,
     NGramModel,
     TableModel,
     UnseenContextError,
@@ -198,8 +201,17 @@ def memo_model(order, alpha):
     return train_ngram(streams, order, alpha)
 
 
+def table_model(weights):
+    """A :class:`TableModel` over ``ab_vocab``: the first row of weights is
+    the start row, the others follow ids 0, 1 and 2."""
+    rows = [np.asarray(w, dtype=float) for w in weights]
+    start, *transitions = [row / row.sum() for row in rows]
+    return TableModel(ab_vocab(), start, dict(enumerate(transitions)))
+
+
 class TestLogRowMemo:
-    """``NGramModel`` keeps each context's log row after its first call."""
+    """``NGramModel.next_logits`` computes each log row from the counts on
+    every call and keeps nothing; the decoder's records are the only cache."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -218,7 +230,6 @@ class TestLogRowMemo:
                 expected = np.log(model.next_distribution(prefix))
             assert row.tobytes() == expected.tobytes()
             assert model.next_logits(prefix).tobytes() == expected.tobytes()
-        assert len(model._log_rows) <= len(model.counts) + 1
 
     @pytest.mark.parametrize("prefix", [
         (0, 1),      # seen
@@ -232,17 +243,6 @@ class TestLogRowMemo:
             with np.errstate(divide="ignore"):
                 expected = np.log(model.next_distribution(prefix))
             assert model.next_logits(prefix).tobytes() == expected.tobytes()
-
-    def test_unseen_contexts_share_one_row(self):
-        model = memo_model(3, 1.0)
-        unseen = [(a, b) for a in range(4) for b in range(4)
-                  if model.context_of((a, b)) not in model.counts]
-        assert len(unseen) > 1
-        model.next_logits_batch(unseen)
-        assert len(model._log_rows) == 1
-        every = [(a, b) for a in range(4) for b in range(4)] + [(), (0,), (1,), (2,), (3,)]
-        model.next_logits_batch(every)
-        assert len(model._log_rows) <= len(model.counts) + 1
 
     def test_returned_rows_are_fresh_and_writable(self):
         model = memo_model(2, 1.0)
@@ -260,7 +260,6 @@ class TestLogRowMemo:
                 model.next_logits_batch([(0,), (2,)])
             with pytest.raises(UnseenContextError):
                 model.next_logits((2,))
-        assert None not in model._log_rows
 
     def test_parallel_decodes_on_a_warm_model_match_serial(self):
         model = memo_model(3, 0.5)
@@ -268,10 +267,54 @@ class TestLogRowMemo:
         config = DecodeConfig(method="beam", beam_size=3, max_length=6,
                               no_repeat_ngram_size=2)
         cold = batch_decode(model, prompts, config, workers=1)
-        assert model._log_rows
+        assert model in sys.modules["santrauka.decode"]._MEMO
         serial = batch_decode(model, prompts, config, workers=1)
         parallel = batch_decode(model, prompts, config, workers=2)
         assert cold == serial == parallel
+
+    def test_decodes_leave_the_model_unchanged(self):
+        model = memo_model(3, 0.5)
+
+        def state():
+            return {name: len(value) if isinstance(value, dict) else id(value)
+                    for name, value in vars(model).items()}
+
+        before = state()
+        prompts = [(0,), (1, 2), (), (2, 2, 0)]
+        for config in [
+            DecodeConfig(method="greedy", max_length=6),
+            DecodeConfig(method="beam", beam_size=3, max_length=6, no_repeat_ngram_size=2),
+            DecodeConfig(method="sample", max_length=6, top_k=2, seed=3),
+        ]:
+            batch_decode(model, prompts, config, workers=1)
+            assert state() == before
+
+
+class OnlyLogits(LanguageModel):
+    """A model that defines only what it must, ``vocab`` and ``next_logits``,
+    so it declares no context width."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def vocab(self):
+        return self.inner.vocab
+
+    def next_logits(self, prefix):
+        return self.inner.next_logits(prefix)
+
+
+@pytest.mark.parametrize("make", [
+    greedy_trap_model,
+    lambda: memo_model(3, 0.5),
+    lambda: OnlyLogits(memo_model(2, 1.0)),
+], ids=["table", "ngram", "only-logits"])
+def test_an_empty_batch_is_a_0_by_v_matrix(make):
+    model = make()
+    batch = model.next_logits_batch([])
+    assert batch.shape == (0, len(model.vocab))
+    assert batch.dtype == float
 
 
 class TestSoftmax:
@@ -384,6 +427,26 @@ class TestNegativeLogLikelihood:
         with pytest.raises(ValueError, match="sequence 0, position 1"):
             negative_log_likelihood(model, [(0, 0)])  # a -> a never happens
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        model=st.one_of(
+            st.builds(memo_model, st.integers(1, 4), st.sampled_from([0.05, 1.0])),
+            st.builds(table_model, st.lists(st.lists(st.integers(1, 3), min_size=3, max_size=3),
+                                            min_size=4, max_size=4)),
+        ),
+        widthless=st.booleans(),
+        dataset=st.lists(st.lists(st.integers(0, 2), max_size=8), max_size=3),
+    )
+    def test_equals_the_whole_prefix_sum(self, model, widthless, dataset):
+        if widthless:
+            model = OnlyLogits(model)
+        expected = 0.0
+        for seq in dataset:
+            ids = tuple(seq) + (model.vocab.eos_id,)
+            for i, tok in enumerate(ids):
+                expected -= math.log(float(model.next_distribution(ids[:i])[tok]))
+        assert negative_log_likelihood(model, dataset) == expected
+
     def test_smoothed_model_is_always_finite(self):
         rng = np.random.default_rng(77)
         model = ab_model(alpha=0.5)
@@ -426,9 +489,7 @@ class TestContextWidth:
         prefix=st.lists(st.integers(0, 2), max_size=6),
     )
     def test_table_logits_read_the_last_id(self, weights, prefix):
-        rows = [np.array(w, dtype=float) + [1.0, 0.0, 0.0] for w in weights]
-        start, *transitions = [row / row.sum() for row in rows]
-        model = TableModel(ab_vocab(), start, dict(enumerate(transitions)))
+        model = table_model([np.array(w, dtype=float) + [1.0, 0.0, 0.0] for w in weights])
         assert model.context_width == 1
         prefix = tuple(prefix)
         tail = context_tail(prefix, model.context_width)
