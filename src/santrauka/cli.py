@@ -37,7 +37,7 @@ from santrauka.corpus import (
     to_json_line,
 )
 from santrauka.decode import METHODS, DecodeConfig, batch_decode
-from santrauka.lm import NGramModel, train_ngram
+from santrauka.lm import NGramModel, _check_order_alpha, train_ngram
 from santrauka.metrics import aggregate, evaluate_pair, render_table, stem_normalize
 from santrauka.tokenizer import Vocabulary, char_vocabulary, viterbi_segment
 
@@ -221,6 +221,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         config = RunConfig(**resolved)
         config.decode_config()
         config.filter_config()
+        _check_order_alpha(config.ngram_order, config.alpha)
         stem_normalize((), config.stemmer)
     except (TypeError, ValueError) as err:
         parser.error(str(err))

@@ -21,12 +21,13 @@ yet met with this model and shaping: one ``next_logits_batch`` call scores
 them, their rows are shaped together, each bit-identical to shaping that
 row alone, and each becomes a record. A greedy or beam record holds the
 row's ranked successors cut at the width, with their probabilities and
-``math.log``s and the eos successor split out; a sampling record holds the
-shaped row and what its seeded draw reads. The records live in a
-per-model memo, one per distinct key met, and go when the model does. A
-model whose ``context_width`` is None reads the whole prefix, so its keys
-never repeat and it keeps no records. The n-gram ban reads the generated
-ids only, so n-grams of the prompt never ban a token.
+``math.log``s and the eos successor split out; a sampling record, read by
+both draws, holds the row's positive ids with their probabilities and
+running sums. A model's records live in its memo, one per key met and
+shaping, until the model goes or the shaping holds ``_MEMO_CAP``. A model
+whose ``context_width`` is None reads the whole prefix, so its keys never
+repeat and it keeps no records. The n-gram ban reads the generated ids
+only, so n-grams of the prompt never ban a token.
 
 Selection never sorts a step's candidates. Each row's successors come
 ranked most probable first, so their scores never rise along the row; a
@@ -73,9 +74,10 @@ _Pair = tuple[float, tuple[int, ...]]
 #: with their probabilities and ``math.log``s.
 _Successors = tuple[float | None, tuple[int, ...], tuple[float, ...], tuple[float, ...]]
 
-#: model -> shaping -> (context, banned ids, ban stage begun) -> record;
-#: a model's records go when the model does.
+#: model -> shaping -> (context, banned ids, ban stage begun) -> record; a
+#: model's records go with it, a shaping's when a step finds ``_MEMO_CAP`` there.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_MEMO_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ def _memo(model: LanguageModel, config: DecodeConfig, width: int, sampling: bool
     whose logits read the whole prefix: its keys never repeat."""
     if model.context_width is None:
         return None
-    shaping = ((config.temperature, config.top_k, config.top_p, config.method, width)
+    shaping = ((config.temperature, config.top_k, config.top_p)
                if sampling else (config.temperature, width))
     return _MEMO.setdefault(model, {}).setdefault(shaping, {})
 
@@ -290,6 +292,8 @@ def _step(
              tuple(sorted(set(_banned(ids, n)))) if stage else (), stage)
             for _, ids in live]
     records = {} if memo is None else memo
+    if len(records) >= _MEMO_CAP:
+        records.clear()  # records equal rows shaped afresh: no output changes
     missing = [key for key in dict.fromkeys(keys) if key not in records]
     if missing:
         records.update(zip(missing, _shape(model, missing, config, width, sampling)))
@@ -313,11 +317,15 @@ def _shape(
         dist = _ban_rows(dist, [banned for _, banned, _ in keys], eos)
     if not sampling:
         return _best_successors(dist, width, eos)
-    if config.method == "beam":
-        # what _sampled_successors' draw without replacement reads
-        return [(row, row / row.sum(), min(width, int(np.count_nonzero(row)))) for row in dist]
-    # what _sample_index's inverse-CDF lookup reads
-    return [(row, np.cumsum(row)) for row in dist]
+    records = []
+    for row in dist:
+        ids = np.flatnonzero(row)
+        stop = ids.item(-1) + 1
+        # (ids, probabilities, running sums, whole row's sum) over the support, or
+        # up to its last id when that holds fewer floats; copied, freeing the batch
+        kept = (ids, row[ids]) if 3 * ids.size < 2 * stop else (range(stop), row[:stop].copy())
+        records.append((*kept, kept[1].cumsum(), row.sum()))
+    return records
 
 
 def _successors(tokens: list[int], probs: list[float], eos: int) -> _Successors:
@@ -346,30 +354,22 @@ def _best_successors(dist: np.ndarray, width: int, eos: int) -> list[_Successors
             for ids, probs, count in zip(order.tolist(), ranked.tolist(), support)]
 
 
-def _sampled_successors(record, rng: np.random.Generator) -> list[int]:
-    """Seeded draws without replacement, ranked as :func:`_by_probability`
-    ranks them, most probable first."""
-    row, p, size = record
-    picks = rng.choice(row.size, size=size, replace=False, p=p)
-    return sorted(picks.tolist(), key=lambda t: (-row[t], t))
-
-
-def _sample_index(record, rng: np.random.Generator) -> int:
-    row, cumulative = record
-    u = rng.random() * cumulative[-1]
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    idx = min(idx, row.size - 1)
-    while idx > 0 and row[idx] == 0.0:
-        idx -= 1
-    return idx
-
-
-def _draws(records: list, rng: np.random.Generator, beam: bool, eos: int) -> list[_Successors]:
-    """Each sampling record's seeded draws, in live order, as successors."""
+def _draws(records: list, rng: np.random.Generator, beam: bool, width: int,
+           eos: int) -> list[_Successors]:
+    """Each sampling record's seeded draws, in live order, as successors: a
+    sampled beam's ``width`` without replacement, most probable first (ids
+    ascend, so an index tie breaks as the id would), or plain sampling's one
+    inverse-CDF lookup, which never lands on a zero, where sums are flat."""
     drawn = []
-    for record in records:
-        tokens = _sampled_successors(record, rng) if beam else [_sample_index(record, rng)]
-        drawn.append(_successors(tokens, [record[0].item(t) for t in tokens], eos))
+    for ids, probs, cumulative, total in records:
+        if beam:
+            size = min(width, np.count_nonzero(probs))
+            picks = rng.choice(len(ids), size, replace=False, p=probs / total)
+            picks = sorted(picks.tolist(), key=lambda j: (-probs.item(j), j))
+        else:
+            u = rng.random() * cumulative.item(-1)
+            picks = [min(int(cumulative.searchsorted(u, "right")), len(ids) - 1)]
+        drawn.append(_successors([int(ids[j]) for j in picks], list(map(probs.item, picks)), eos))
     return drawn
 
 
@@ -479,7 +479,7 @@ def _search(
         if not live:
             break
         records = _step(model, prompt_ids, live, config, width, sampling, memo)
-        successors = _draws(records, rng, beam, eos) if sampling else records
+        successors = _draws(records, rng, beam, width, eos) if sampling else records
         live = _select(live, successors, width, eos, finished)
         if live and finished and finished[0][0] < live[0][0]:
             # every step adds log p <= 0, so no live hypothesis can reach

@@ -254,6 +254,23 @@ class TestParseArgs:
             assert err.startswith("usage: ")
             assert err.endswith(f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["train-lm", "pipeline"])
+    @pytest.mark.parametrize("name, value, message", [
+        ("ngram_order", 0, "order must be at least 1"),
+        ("alpha", -1.0, "alpha must be finite and nonnegative"),
+    ])
+    def test_out_of_range_model_option_is_usage_error(self, tmp_path, capsys, command, name,
+                                                      value, message):
+        # the input does not exist: the value is refused before any ingest
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({name: value}), encoding="utf-8")
+        flag = f"--{name.replace('_', '-')}={value}"
+        for extra in ([flag], ["--config", str(config_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*_required_args(command), *extra])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_invalid_domain_value_is_usage_error(self):
         with pytest.raises(SystemExit):
             parse_args(["filter", "--input", "i", "--output", "o",
@@ -429,8 +446,8 @@ _run_configs = st.builds(
     no_repeat_ngram_size=st.none() | st.integers(min_value=1),
     max_length=st.integers(min_value=1),
     sample_within_beam=st.booleans(),
-    ngram_order=st.integers(),
-    alpha=st.floats(allow_nan=False, allow_infinity=False),
+    ngram_order=st.integers(min_value=1),
+    alpha=st.floats(min_value=0, allow_infinity=False),
     n_validation=st.integers(min_value=0),
     stemmer=st.sampled_from(["identity", "lithuanian-light"]),
     min_summary_chars=st.integers(min_value=0),
@@ -464,7 +481,7 @@ class TestRenderRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(config=_run_configs)
     @example(config=RunConfig(command="pipeline", input="-a.jsonl", output="--o",
-                              vocab="--v", alpha=-1.5))
+                              vocab="--v", alpha=0.0))
     @example(config=RunConfig(command="filter", input="0", output="--"))
     @example(config=RunConfig(command="stats", input="--", output="--"))
     def test_round_trip_property(self, config):

@@ -10,6 +10,7 @@ import math
 import sys
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,14 @@ from santrauka.decode import (
     sample_decode,
 )
 from santrauka.fixtures import greedy_trap_model
-from santrauka.lm import LanguageModel, TableModel, UnseenContextError, softmax, train_ngram
+from santrauka.lm import (
+    LanguageModel,
+    TableModel,
+    UnseenContextError,
+    softmax,
+    softmax_rows,
+    train_ngram,
+)
 from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -333,6 +341,14 @@ any_configs = st.builds(
     seed=st.integers(0, 2**32 - 1),
     sample_within_beam=st.booleans(),
 )
+config_runs = st.lists(st.tuples(any_configs, st.lists(st.integers(0, 5), max_size=4)),
+                       min_size=1, max_size=5)
+
+
+def fitted(model, runs):
+    """The runs with each prompt id folded into the model's vocabulary."""
+    size = len(model.vocab)
+    return [(config, tuple(t % size for t in prompt)) for config, prompt in runs]
 
 
 def assert_equals_oracle(model, prompt, config):
@@ -366,21 +382,20 @@ def test_renormalizing_a_renorm_table_row_changes_its_bits():
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=models, runs=st.lists(st.tuples(any_configs, st.lists(st.integers(0, 5), max_size=4)),
-                                   min_size=1, max_size=5))
+@given(model=models, runs=config_runs)
 # prompt (1,) meets context (1,) before the ban stage at step 0 and in it,
 # with no banned id, at step 2 (ids 0, 1); prompt (2,) meets the ban-stage
 # key first, and prompt (1,) after it the other
 @example(model=renorm_table(), runs=[(GREEDY_BAN_2, [1])])
 @example(model=renorm_table(), runs=[(GREEDY_BAN_2, [2]), (GREEDY_BAN_2, [1])])
 # a one-wide sampled beam draws without replacement, plain sampling by the
-# inverse CDF: one shaping otherwise, so their records must stay apart
+# inverse CDF: they share one shaping, so each must draw its own way from
+# records the other shaped
 @example(model=TIED_TWO, runs=[(DecodeConfig(method="sample", max_length=3), []),
                                (DecodeConfig(method="beam", sample_within_beam=True,
                                              max_length=3), [])])
 def test_warm_memo_equals_cold_and_the_oracle(model, runs):
-    size = len(model.vocab)
-    runs = [(config, tuple(t % size for t in prompt)) for config, prompt in runs]
+    runs = fitted(model, runs)
     # the first pass fills the memo as it goes, the second reads it warm
     for _ in range(2):
         for config, prompt in runs:
@@ -432,16 +447,120 @@ def test_unseen_context_stores_nothing_and_raises_again():
     assert "UnseenContextError" in errors[0][1]
 
 
-def test_greedy_records_hold_one_successor_on_a_large_vocabulary():
+def large_vocabulary_records(config):
+    """The records one decode of a bigram model over 4,001 ids leaves."""
     vocab = make_vocab(4000)
     rng = np.random.default_rng(5)
     streams = [TokenSequence(tuple(int(t) for t in rng.integers(0, 4000, 30)), vocab)
                for _ in range(4)]
     model = train_ngram(streams, 2, 0.5)
-    decode(model, streams[0].ids[:3], replace(GREEDY_BAN_2, max_length=20))
+    decode(model, streams[0].ids[:3], replace(config, max_length=20))
     records = [record for shaped in decode_module._MEMO[model].values()
                for record in shaped.values()]
     assert records
-    for eos_log, tokens, probs, logs in records:
+    return records
+
+
+def test_greedy_records_hold_one_successor_on_a_large_vocabulary():
+    for eos_log, tokens, probs, logs in large_vocabulary_records(GREEDY_BAN_2):
         assert (eos_log is not None) + len(tokens) == 1
         assert len(probs) == len(logs) == len(tokens)
+
+
+def test_top_k_sampling_records_hold_k_ids_on_a_large_vocabulary():
+    sample = replace(GREEDY_BAN_2, method="sample", top_k=5)
+    for ids, probs, cumulative, _ in large_vocabulary_records(sample):
+        assert 1 <= np.count_nonzero(probs) <= 5
+        assert len(ids) == probs.size == cumulative.size
+        # the support's ids, probabilities and sums, or no more floats
+        assert sum(a.size for a in (ids, probs, cumulative) if isinstance(a, np.ndarray)) <= 15
+
+
+def test_sampling_and_a_sampled_beam_share_one_shaping():
+    model = random_ngram_model(3, 4, 3, 0.3)
+    sample = DecodeConfig(method="sample", top_k=3, top_p=0.9, temperature=0.5,
+                          no_repeat_ngram_size=2, max_length=8)
+    for config in (sample, replace(sample, method="beam", beam_size=3, sample_within_beam=True),
+                   replace(sample, method="beam", beam_size=2, sample_within_beam=True)):
+        assert_equals_oracle(model, (0, 1), config)
+    assert len(decode_module._MEMO[model]) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=models, runs=config_runs)
+def test_a_memo_cap_of_one_changes_no_output(model, runs):
+    runs = fitted(model, runs)
+
+    def outputs():
+        return [beam_search(model, prompt, config, return_all=True) if config.method == "beam"
+                else decode(model, prompt, config) for config, prompt in runs]
+
+    uncapped = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decode_module, "_MEMO_CAP", 1)
+        assert outputs() == uncapped
+    # each step that found a record cleared its shaping first, so at most
+    # one step's keys, one per live hypothesis, are left
+    assert all(len(records) <= 4 for records in decode_module._MEMO[model].values())
+
+
+@st.composite
+def sparse_logits(draw):
+    """Logit rows of 9-300 ids, most of them -inf, so most of the shaped row
+    is exactly zero; the positive ids spread over the row or crowd its head."""
+    size = draw(st.integers(9, 300))
+    span = draw(st.integers(1, size))
+    support = draw(st.lists(st.integers(0, span - 1), min_size=1,
+                            max_size=max(1, min(span, size // 3)), unique=True))
+    logits = np.full(size, -np.inf)
+    logits[support] = draw(st.lists(st.floats(-20, 20), min_size=len(support),
+                                    max_size=len(support)))
+    return logits
+
+
+def record_of(logits):
+    """The sampling record ``_shape`` builds from one unfiltered, unbanned row."""
+    model = SimpleNamespace(vocab=SimpleNamespace(eos_id=-1),
+                            next_logits_batch=lambda contexts: logits[None])
+    (record,) = decode_module._shape(model, [((), (), False)], DecodeConfig(), 1, True)
+    return record
+
+
+class ChoiceSpy:
+    """A seeded generator that keeps the weights each draw without
+    replacement is given."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.weights = []
+
+    def random(self):
+        return self.rng.random()
+
+    def choice(self, *args, p, **kwargs):
+        self.weights.append(p)
+        return self.rng.choice(*args, p=p, **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=sparse_logits(), width=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@example(logits=np.array([0.0, -0.7, -0.7] + [-np.inf] * 6), width=3, seed=1)  # a full head
+@example(logits=np.array([-np.inf] * 8 + [0.0]), width=2, seed=1)  # one id, the last
+def test_sampling_record_draws_equal_the_full_row_oracle(logits, width, seed):
+    row = softmax_rows(logits[None])[0]
+    record = record_of(logits)
+    for beam in (False, True):
+        spy, oracle_rng = ChoiceSpy(seed), np.random.default_rng(seed)
+        ((_, tokens, probs, _),) = decode_module._draws([record], spy, beam, width, -1)
+        if beam:
+            expected = oracle._sampled_successors(row, width, oracle_rng)
+            assert sorted(tokens) == expected
+            assert list(tokens) == sorted(expected, key=lambda t: (-row[t], t))
+            # the oracle's weights at the record's ids, bit for bit: both
+            # divide by the whole row's sum
+            (weights,) = spy.weights
+            assert weights.tobytes() == (row / row.sum())[list(record[0])].tobytes()
+        else:
+            assert tokens == (oracle._sample_index(row, oracle_rng),)
+        assert probs == tuple(row[t] for t in tokens)
+        assert spy.rng.random() == oracle_rng.random()
