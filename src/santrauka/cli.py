@@ -50,6 +50,10 @@ PIPELINE_PROMPT_TOKENS = 64
 _DECODING, _FILTERING = ("decode", "pipeline"), ("filter", "stats", "pipeline")
 _TRAINING, _SCORING = ("train-lm", "pipeline"), ("evaluate", "pipeline")
 
+#: Library parameters whose RunConfig field has another name; a library
+#: range error begins with the parameter's name.
+_RENAMED = {"order": "ngram_order", "min_body_to_summary_ratio": "min_ratio"}
+
 
 def _option(default, help: str, **meta):
     """A RunConfig field whose metadata describes its command-line flag."""
@@ -106,12 +110,8 @@ class RunConfig:
         return DecodeConfig(**{f.name: getattr(self, f.name) for f in fields(DecodeConfig)})
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            min_summary_chars=self.min_summary_chars,
-            min_body_chars=self.min_body_chars,
-            min_body_to_summary_ratio=self.min_ratio,
-            max_overlap_ratio=self.max_overlap_ratio,
-        )
+        return FilterConfig(**{f.name: getattr(self, _RENAMED.get(f.name, f.name))
+                               for f in fields(FilterConfig)})
 
 
 #: The RunConfig fields that are flags: all but ``command``.
@@ -172,8 +172,9 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Parse argv into a fully resolved RunConfig.
 
     Flags and config-file keys the command does not read, type mismatches,
-    mistyped config values, non-finite floats, unregistered stemmers, and
-    missing required paths all exit with a usage error (status 2).
+    mistyped config values, non-finite floats, out-of-range values (named
+    by their flag), unregistered stemmers, and missing required paths all
+    exit with a usage error (status 2).
     """
     parser, subparsers = _build_parser()
     namespace, extra = parser.parse_known_args(argv)
@@ -224,7 +225,10 @@ def parse_args(argv: list[str]) -> RunConfig:
         _check_order_alpha(config.ngram_order, config.alpha)
         stem_normalize((), config.stemmer)
     except (TypeError, ValueError) as err:
-        parser.error(str(err))
+        # a range error names the library's parameter: name the flag instead
+        name, _, rule = str(err).partition(" ")
+        option = _OPTIONS.get(_RENAMED.get(name, name))
+        parser.error(f"{_flag(option)} {rule}" if option else str(err))
 
     if not config.input:
         parser.error(f"{config.command} requires --input")

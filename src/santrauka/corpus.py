@@ -287,10 +287,9 @@ class FilterConfig:
     max_overlap_ratio: float = 0.2
 
     def __post_init__(self):
-        if not (self.min_summary_chars >= 0 and self.min_body_chars >= 0):
-            raise ValueError("length thresholds must be nonnegative")
-        if not self.min_body_to_summary_ratio >= 0:
-            raise ValueError("min_body_to_summary_ratio must be nonnegative")
+        for name in ("min_summary_chars", "min_body_chars", "min_body_to_summary_ratio"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 0 <= self.max_overlap_ratio <= 1:
             raise ValueError("max_overlap_ratio must lie in [0, 1]")
 

@@ -20,11 +20,11 @@ and whether the ban stage has begun. The model is called only for keys not
 yet met with this model and shaping: one ``next_logits_batch`` call scores
 them, their rows are shaped together, each bit-identical to shaping that
 row alone, and each becomes a record. A greedy or beam record holds the
-row's ranked successors cut at the width, with their probabilities and
-``math.log``s and the eos successor split out; a sampling record, read by
-both draws, holds the row's positive ids with their probabilities and
-running sums. A model's records live in its memo, one per key met and
-shaping, until the model goes or the shaping holds ``_MEMO_CAP``. A model
+row's ranked successors cut at the width, with their ``math.log``s and
+the eos successor split out; a sampling record, read by both draws,
+holds the row's positive ids with their probabilities and running sums.
+A model's records live in its memo, one per key met and shaping, until
+the model goes or the shaping holds ``_MEMO_CAP``. A model
 whose ``context_width`` is None reads the whole prefix, so its keys never
 repeat and it keeps no records. The n-gram ban reads the generated ids
 only, so n-grams of the prompt never ban a token.
@@ -32,8 +32,9 @@ only, so n-grams of the prompt never ban a token.
 Selection never sorts a step's candidates. Each row's successors come
 ranked most probable first, so their scores never rise along the row; a
 heap merges the rows and stops once ``width`` are live, so only the
-candidates it reaches are scored, each from its record's log. The pool
-and every output equal those of a full sort.
+candidates it reaches are scored, each from its record's log. A run of
+equal scores is sorted by id only where its ids descend. The pool and
+every output equal those of a full sort.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from santrauka.lm import LanguageModel, softmax_rows
-from santrauka.tokenizer import TokenSequence, detokenize, token_ids
+from santrauka.tokenizer import TokenSequence, token_ids
 
 __all__ = [
     "DecodeConfig",
@@ -71,8 +72,8 @@ _Pair = tuple[float, tuple[int, ...]]
 
 #: A row's ranked successors: the eos successor's log-probability, or None
 #: when eos is not among them, then the other ids, most probable first,
-#: with their probabilities and ``math.log``s.
-_Successors = tuple[float | None, tuple[int, ...], tuple[float, ...], tuple[float, ...]]
+#: with their ``math.log``s.
+_Successors = tuple[float | None, tuple[int, ...], tuple[float, ...]]
 
 #: model -> shaping -> (context, banned ids, ban stage begun) -> record; a
 #: model's records go with it, a shaping's when a step finds ``_MEMO_CAP`` there.
@@ -336,7 +337,7 @@ def _successors(tokens: list[int], probs: list[float], eos: int) -> _Successors:
         k = tokens.index(eos)
         del tokens[k]
         eos_log = math.log(probs.pop(k))
-    return eos_log, tuple(tokens), tuple(probs), tuple(map(math.log, probs))
+    return eos_log, tuple(tokens), tuple(map(math.log, probs))
 
 
 def _best_successors(dist: np.ndarray, width: int, eos: int) -> list[_Successors]:
@@ -374,28 +375,28 @@ def _draws(records: list, rng: np.random.Generator, beam: bool, width: int,
 
 
 def _run_end(
-    neg_base: float, probs: tuple[float, ...], logs: tuple[float, ...], start: int,
+    neg_base: float, tokens: tuple[int, ...], logs: tuple[float, ...], start: int,
     neg_score: float,
 ) -> tuple[int, float, bool]:
     """End of the run of successors from ``start`` that share its negated
-    score, the negated score after the run, and whether the run mixes
-    probabilities.
+    score, the negated score after the run, and whether the run's ids
+    ever descend.
 
     Successors are ranked most probable first, so scores never rise along
     them, and ids of equal probability already ascend. Yet unequal
     probabilities can round to one score, where the lower id must go
-    first, so a mixed run must be sorted by id.
+    first, so a run whose ids descend must be sorted by id.
     """
-    stop, p, mixed, following = start + 1, probs[start], False, neg_score
-    while stop < len(probs):
-        q = probs[stop]
-        if q != p:
-            following = neg_base - logs[stop]
+    stop, log, descends, following = start + 1, logs[start], False, neg_score
+    while stop < len(logs):
+        if logs[stop] != log:
+            log = logs[stop]
+            following = neg_base - log
             if following != neg_score:
                 break
-            p, mixed = q, True
+        descends = descends or tokens[stop] < tokens[stop - 1]
         stop += 1
-    return stop, following, mixed
+    return stop, following, descends
 
 
 def _select(
@@ -415,7 +416,7 @@ def _select(
     that order, and only the successors it reaches pay for a tuple.
     """
     heap, runs = [], []
-    for i, ((neg, ids), (eos_log, tokens, _, logs)) in enumerate(zip(live, successors)):
+    for i, ((neg, ids), (eos_log, tokens, logs)) in enumerate(zip(live, successors)):
         if eos_log is not None:
             heapq.heappush(finished, (neg - eos_log, ids + (eos,)))
         if tokens:
@@ -431,10 +432,9 @@ def _select(
         if j == run[1]:
             # token j starts a run of equal scores: measure the run before
             # taking any of it, as sorting it may put a lower token first
-            _, _, probs, logs = successors[i]
-            stop, run[2], mixed = _run_end(live[i][0], probs, logs, j, neg_score)
+            stop, run[2], descends = _run_end(live[i][0], tokens, successors[i][2], j, neg_score)
             run[1] = stop
-            if mixed:
+            if descends:
                 # records are shared, so the sorted run is a new tuple
                 tokens = run[0] = tokens[:j] + tuple(sorted(tokens[j:stop])) + tokens[stop:]
                 if tokens[j] != token:
@@ -490,9 +490,8 @@ def _search(
     finished.extend(live)
     finished.sort()
     (neg, ids), vocab = finished[0], model.vocab
-    surface = tuple(t for t in ids if not vocab.is_special(t))
-    result = DecodeResult(tokens=TokenSequence(ids, vocab),
-                          text=detokenize(TokenSequence(surface, vocab)),
+    text = "".join(vocab.tokens[t] for t in ids if not vocab.is_special(t))
+    result = DecodeResult(tokens=TokenSequence(ids, vocab), text=text,
                           score=-neg, steps=len(ids))
     return result, finished
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from santrauka.cli import (
     COMMANDS,
     RunConfig,
+    _atomic_write,
     _build_parser,
     main,
     parse_args,
@@ -264,10 +265,36 @@ class TestParseArgs:
         # the input does not exist: the value is refused before any ingest
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({name: value}), encoding="utf-8")
+        flag = f"--{name.replace('_', '-')}"
+        for extra in ([f"{flag}={value}"], ["--config", str(config_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*_required_args(command), *extra])
+            assert exc.value.code == 2
+            # the library's message, its parameter's name swapped for the flag
+            rule = message.partition(" ")[2]
+            assert capsys.readouterr().err.endswith(f"error: {flag} {rule}\n")
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("min_summary_chars", -1, "--min-summary-chars must be nonnegative"),
+        ("min_body_chars", -1, "--min-body-chars must be nonnegative"),
+        ("min_ratio", -1.0, "--min-ratio must be nonnegative"),
+        ("max_overlap_ratio", 1.5, "--max-overlap-ratio must lie in [0, 1]"),
+        ("beam_size", 0, "--beam-size must be at least 1"),
+        ("max_length", 0, "--max-length must be at least 1"),
+        ("temperature", 0.0, "--temperature must be positive"),
+        ("top_k", -1, "--top-k must be at least 1"),
+        ("top_p", 1.5, "--top-p must lie in (0, 1]"),
+        ("no_repeat_ngram_size", -1, "--no-repeat-ngram-size must be at least 1"),
+        ("seed", -1, "--seed must be nonnegative"),
+    ])
+    def test_out_of_range_option_names_its_flag(self, tmp_path, capsys, name, value,
+                                                message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({name: value}), encoding="utf-8")
         flag = f"--{name.replace('_', '-')}={value}"
         for extra in ([flag], ["--config", str(config_path)]):
             with pytest.raises(SystemExit) as exc:
-                main([*_required_args(command), *extra])
+                parse_args([*_required_args("pipeline"), *extra])
             assert exc.value.code == 2
             assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
@@ -937,6 +964,19 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err == f"error: io: cannot write {output_path}: No such file or directory\n"
         assert not output_path.parent.exists()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        output_path = tmp_path / "out.jsonl"
+        output_path.write_text("old\n", encoding="utf-8")
+
+        def write(fh):
+            fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(str(output_path), write)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+        assert output_path.read_text(encoding="utf-8") == "old\n"
 
 
 def _set_count(token):

@@ -372,6 +372,19 @@ class TestIngest(object):
         assert [a.source for a in ingest(path, errors)] == ["y"]
         assert errors == [IngestError(1, message)]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("body", " \t", "empty body"),
+        ("url", 5, "key 'url' must be a string"),
+        ("published_at", 20200101, "key 'published_at' must be an ISO date string"),
+    ])
+    def test_malformed_field_is_a_line_error(self, tmp_path, field, value, message):
+        record = {"source": "x", "summary": "s", "body": "b", field: value}
+        path = self.write_lines(
+            tmp_path, [json.dumps(record), '{"source":"y","summary":"s","body":"b"}'])
+        errors = []
+        assert [a.source for a in ingest(path, errors)] == ["y"]
+        assert errors == [IngestError(1, message)]
+
     def test_whitespace_normalization(self, tmp_path):
         path = self.write_lines(
             tmp_path, ['{"source":"x","summary":"  a \\t b\\n","body":" c  d "}']
@@ -524,6 +537,10 @@ class TestSplitValidation:
     def test_oversized_request_is_an_error(self):
         with pytest.raises(ValueError):
             split_validation(self.ARTICLES, 11, seed=0)
+
+    def test_negative_request_is_an_error(self):
+        with pytest.raises(ValueError, match="n_validation must be nonnegative"):
+            split_validation(self.ARTICLES, -1, seed=0)
 
 
 def test_normalize_whitespace():

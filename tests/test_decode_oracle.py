@@ -207,25 +207,24 @@ class LastIdLogitTable(LogitTable):
     context_width = 1
 
 
-def test_one_ulp_apart_probabilities_with_one_score_take_the_lower_token():
+def assert_one_ulp_apart_probabilities_take_the_lower_token(low, same_log):
     # after token 0, token 3 is one ulp likelier than token 2, yet behind
     # the score of (0,) both round to one score, where search order takes
     # the lower token: beam 3 keeps (1, 1), (0, 0) and (0, 2), not (0, 3)
     vocab = make_vocab(4)
     eos = vocab.eos_id
-    low = -1.9984
     after_zero = [0.0, -6.0, low, float(np.nextafter(low, 0.0)), -4.0]
     only_one = [-9.0, 0.0, -9.0, -9.0, -9.0]
     only_eos = [-9.0, -9.0, -9.0, -9.0, 0.0]
     rows = {0: after_zero, 1: only_one, 2: only_eos, 3: only_eos, eos: only_eos}
     start = [0.0, -0.2, -9.0, -9.0, -3.0]
     # the second model shares its records between decodes: sorting the
-    # mixed run of the first decode must not reorder the second's
+    # descending run of the first decode must not reorder the second's
     for model in (LogitTable(vocab, start, rows), LastIdLogitTable(vocab, start, rows)):
         base = math.log(softmax(model.next_logits(()))[0])
         p = softmax(model.next_logits((0,)))
         assert p[3] == np.nextafter(p[2], 1.0)
-        assert math.log(p[3]) != math.log(p[2])
+        assert (math.log(p[3]) == math.log(p[2])) is same_log
         assert base + math.log(p[3]) == base + math.log(p[2])
         config = DecodeConfig(method="beam", beam_size=3, max_length=3)
         expected = oracle.beam_search(model, (), config)
@@ -235,6 +234,16 @@ def test_one_ulp_apart_probabilities_with_one_score_take_the_lower_token():
             assert (0, 2, eos) in [h.ids for h in pool]
             assert (0, 3, eos) not in [h.ids for h in pool]
             assert result.tokens.ids == expected[0].ids
+
+
+def test_one_ulp_apart_probabilities_with_one_score_take_the_lower_token():
+    assert_one_ulp_apart_probabilities_take_the_lower_token(-1.9984, same_log=False)
+
+
+def test_one_ulp_apart_probabilities_with_one_log_take_the_lower_token():
+    # the logs are equal too, so the run of (0, 3), (0, 2) never changes
+    # its log: only its descending ids show it must be sorted
+    assert_one_ulp_apart_probabilities_take_the_lower_token(-1.998, same_log=True)
 
 
 @PROPERTY_SETTINGS
@@ -462,9 +471,9 @@ def large_vocabulary_records(config):
 
 
 def test_greedy_records_hold_one_successor_on_a_large_vocabulary():
-    for eos_log, tokens, probs, logs in large_vocabulary_records(GREEDY_BAN_2):
+    for eos_log, tokens, logs in large_vocabulary_records(GREEDY_BAN_2):
         assert (eos_log is not None) + len(tokens) == 1
-        assert len(probs) == len(logs) == len(tokens)
+        assert len(logs) == len(tokens)
 
 
 def test_top_k_sampling_records_hold_k_ids_on_a_large_vocabulary():
@@ -551,7 +560,7 @@ def test_sampling_record_draws_equal_the_full_row_oracle(logits, width, seed):
     record = record_of(logits)
     for beam in (False, True):
         spy, oracle_rng = ChoiceSpy(seed), np.random.default_rng(seed)
-        ((_, tokens, probs, _),) = decode_module._draws([record], spy, beam, width, -1)
+        ((_, tokens, logs),) = decode_module._draws([record], spy, beam, width, -1)
         if beam:
             expected = oracle._sampled_successors(row, width, oracle_rng)
             assert sorted(tokens) == expected
@@ -562,5 +571,5 @@ def test_sampling_record_draws_equal_the_full_row_oracle(logits, width, seed):
             assert weights.tobytes() == (row / row.sum())[list(record[0])].tobytes()
         else:
             assert tokens == (oracle._sample_index(row, oracle_rng),)
-        assert probs == tuple(row[t] for t in tokens)
+        assert logs == tuple(math.log(row[t]) for t in tokens)
         assert spy.rng.random() == oracle_rng.random()

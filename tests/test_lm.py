@@ -71,7 +71,7 @@ _NAN = float("nan")
                  id="train-alpha-inf"),
     pytest.param(lambda: FilterConfig(min_body_to_summary_ratio=_NAN),
                  "min_body_to_summary_ratio", id="filter-ratio"),
-    pytest.param(lambda: FilterConfig(min_body_chars=_NAN), "length thresholds",
+    pytest.param(lambda: FilterConfig(min_body_chars=_NAN), "min_body_chars",
                  id="filter-length"),
     pytest.param(lambda: DecodeConfig(temperature=_NAN), "temperature", id="decode-temperature"),
     pytest.param(lambda: apply_temperature([0.0, 1.0], _NAN), "temperature",
@@ -336,6 +336,10 @@ class TestSoftmax:
         dist = softmax([0.0, -np.inf, 0.0])
         assert dist[1] == 0.0
         np.testing.assert_allclose(dist, [0.5, 0.0, 0.5])
+
+    def test_empty_vector_fails(self):
+        with pytest.raises(ValueError, match="empty logit vector"):
+            softmax([])
 
     def test_all_neg_inf_fails(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,19 @@ class TestVocabulary:
         assert [vocab.id_of(t) for t in ("a", "b", "<eos>")] == [0, 1, 2]
         assert len(vocab) == 3
 
+    def test_id_to_token_bounds_checked(self):
+        vocab = simple_vocab({"a": -1.0})
+        assert vocab.id_to_token(1) == "<eos>"
+        for token_id in (-1, len(vocab)):
+            with pytest.raises(ValueError, match=rf"token id {token_id} outside \[0, 2\)"):
+                vocab.id_to_token(token_id)
+
+    @pytest.mark.parametrize("token", ["a\tb", "a\nb"])
+    def test_save_refuses_a_token_the_format_cannot_hold(self, tmp_path, token):
+        vocab = simple_vocab({token: -1.0})
+        with pytest.raises(ValueError, match="not representable in the file format"):
+            vocab.save(tmp_path / "vocab.txt")
+
     def test_save_load_round_trip(self, tmp_path):
         vocab = simple_vocab({"a": math.log(0.25), "ab": math.log(0.5)}, unk=-10.0)
         path = tmp_path / "vocab.txt"
