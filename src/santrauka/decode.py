@@ -471,7 +471,12 @@ def _search(
     rng = np.random.default_rng(config.seed) if sampling else None
     memo = _memo(model, config, width, sampling)
     prompt_ids = token_ids(prompt)
-    eos = model.vocab.eos_id
+    vocab = model.vocab
+    size = len(vocab)
+    if prompt_ids and not (0 <= min(prompt_ids) and max(prompt_ids) < size):
+        bad = next(i for i in prompt_ids if not 0 <= i < size)
+        raise ValueError(f"prompt token id {bad} outside [0, {size})")
+    eos = vocab.eos_id
     # -0.0, so that a decode of probability 1 scores 0.0, not -0.0
     start = (-0.0, ())
     finished, live = ([start], []) if prompt_ids and prompt_ids[-1] == eos else ([], [start])
@@ -489,9 +494,9 @@ def _search(
     # anything still alive ran out of budget and counts as finished
     finished.extend(live)
     finished.sort()
-    (neg, ids), vocab = finished[0], model.vocab
+    neg, ids = finished[0]
     text = "".join(vocab.tokens[t] for t in ids if not vocab.is_special(t))
-    result = DecodeResult(tokens=TokenSequence(ids, vocab), text=text,
+    result = DecodeResult(tokens=TokenSequence._issued(ids, vocab), text=text,
                           score=-neg, steps=len(ids))
     return result, finished
 
@@ -528,8 +533,23 @@ def sample_decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeR
 
 
 def decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
-    """Decode with the search ``config.method`` selects."""
+    """Decode with the search ``config.method`` selects.
+
+    Every decoder checks the prompt first: an id outside ``[0, V)`` raises
+    ValueError naming the first such id, and a non-integer id TypeError.
+    """
     return _search(model, prompt, config)[0]
+
+
+def _failure(err: Exception) -> tuple[None, str]:
+    return None, f"{type(err).__name__}: {err}"
+
+
+def _read_prompt(prompt) -> tuple[tuple[int, ...] | None, str | None]:
+    try:
+        return token_ids(prompt), None
+    except Exception as err:  # noqa: BLE001 - per-prompt fault isolation
+        return _failure(err)
 
 
 def _decode_task(task) -> tuple[DecodeResult | None, str | None]:
@@ -537,7 +557,7 @@ def _decode_task(task) -> tuple[DecodeResult | None, str | None]:
     try:
         return decode(model, prompt, config), None
     except Exception as err:  # noqa: BLE001 - per-prompt fault isolation
-        return None, f"{type(err).__name__}: {err}"
+        return _failure(err)
 
 
 def batch_decode(
@@ -552,23 +572,30 @@ def batch_decode(
     Prompt i runs with seed ``config.seed + i``, so a batch equals the
     corresponding independent calls. A failing prompt leaves None in its
     slot and, when ``errors`` is a list, records (index, message) there;
-    the rest of the batch continues. ``workers`` > 1 fans out across at
-    most one process per prompt; ordering is unaffected. Chunks are about
-    a quarter of a worker's share, so no worker is left with a long tail.
+    the rest of the batch continues. A prompt whose ids cannot be read, or
+    fall outside the vocabulary, fails alone in the same way. ``workers``
+    > 1 fans out across at most one process per prompt; ordering is
+    unaffected. Chunks are about a quarter of a worker's share, so no
+    worker is left with a long tail.
     """
+    # each prompt is read to a plain id tuple here, inside its own
+    # isolation, so a worker receives ints and never an iterator or a
+    # sequence's vocabulary
+    read = [_read_prompt(p) for p in prompts]
     tasks = [
-        (model, token_ids(p), replace(config, seed=config.seed + i))
-        for i, p in enumerate(prompts)
+        (model, ids, replace(config, seed=config.seed + i))
+        for i, (ids, _) in enumerate(read) if ids is not None
     ]
     if workers <= 1 or len(tasks) <= 1:
-        outcomes = [_decode_task(task) for task in tasks]
+        decoded = iter([_decode_task(task) for task in tasks])
     else:
         workers = min(workers, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (workers * 4))
-            outcomes = list(pool.map(_decode_task, tasks, chunksize=chunksize))
+            decoded = iter(list(pool.map(_decode_task, tasks, chunksize=chunksize)))
     results: list[DecodeResult | None] = []
-    for i, (result, message) in enumerate(outcomes):
+    for i, (ids, message) in enumerate(read):
+        result, message = (None, message) if ids is None else next(decoded)
         results.append(result)
         if message is not None and errors is not None:
             errors.append((i, message))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import sys
 import unicodedata
 from collections import Counter
@@ -296,7 +297,14 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """An encoded text: ordered token ids plus their vocabulary."""
+    """An encoded text: ordered token ids plus their vocabulary.
+
+    The constructor checks every id: one that is not an integer raises
+    TypeError (a float id is refused, not truncated), and one outside
+    ``[0, len(vocab))`` raises ValueError naming the first such id. Ids the
+    vocabulary issued itself, as :func:`viterbi_segment` and the decoders
+    return them, are not checked again.
+    """
 
     ids: tuple[int, ...]
     vocab: Vocabulary
@@ -304,8 +312,17 @@ class TokenSequence:
     def __post_init__(self):
         size = len(self.vocab)
         for i in self.ids:
-            if not 0 <= i < size:
+            if not 0 <= operator.index(i) < size:
                 raise ValueError(f"token id {i} outside [0, {size})")
+
+    @classmethod
+    def _issued(cls, ids: tuple[int, ...], vocab: Vocabulary) -> "TokenSequence":
+        """A sequence of ids that ``vocab`` issued, built without the per-id
+        check: each is a plain int in ``[0, len(vocab))`` by construction."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "ids", ids)
+        object.__setattr__(seq, "vocab", vocab)
+        return seq
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -315,10 +332,16 @@ class TokenSequence:
 
 
 def token_ids(seq) -> tuple[int, ...]:
-    """Plain id tuple from a TokenSequence or any id sequence."""
+    """Plain id tuple from a TokenSequence or any id sequence.
+
+    Each id of a plain sequence must be an integer (numpy integers become
+    plain ints); a float id raises TypeError rather than being truncated.
+    Ranges are not checked here: a TokenSequence's ids were checked when it
+    was built, and decoders check a prompt against their vocabulary.
+    """
     if isinstance(seq, TokenSequence):
         return seq.ids
-    return tuple(int(i) for i in seq)
+    return tuple(map(operator.index, seq))
 
 
 def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
@@ -337,7 +360,7 @@ def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
     unk, and no other option exists.
     """
     if not text:
-        return TokenSequence((), vocab)
+        return TokenSequence._issued((), vocab)
     unk = vocab.unk_id
     if vocab.max_token_len <= 1:
         lookup = vocab._surface_index.get
@@ -346,7 +369,7 @@ def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
         ids = tuple([lookup(ch, unk) for ch in text])
         if unk is None and None in ids:
             raise ValueError(_UNCOVERED)
-        return TokenSequence(ids, vocab)
+        return TokenSequence._issued(ids, vocab)
     n = len(text)
     log_probs = vocab.log_probs
     unk_lp = float(log_probs[unk]) if unk is not None else 0.0
@@ -383,7 +406,7 @@ def viterbi_segment(text: str, vocab: Vocabulary) -> TokenSequence:
         entry = tails[pos]
         ids.append(entry[3])
         pos = entry[4]
-    return TokenSequence(tuple(ids), vocab)
+    return TokenSequence._issued(tuple(ids), vocab)
 
 
 def detokenize(seq: TokenSequence) -> str:
@@ -401,7 +424,9 @@ def char_vocabulary(
     frequency. Handy as a self-contained fallback when no trained subword
     vocabulary is available.
     """
-    counts = Counter(ch for text in texts for ch in text)
+    counts: Counter[str] = Counter()
+    for text in texts:
+        counts.update(text)
     if not counts:
         raise ValueError("cannot build a vocabulary from empty text")
     total = sum(counts.values())

@@ -257,6 +257,18 @@ class TestNormalizeWhitespace:
     SPACES = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 "
 
     @given(st.text(alphabet=st.sampled_from("ab" + SPACES)))
+    # pinned edges: empty, single spaces inside, a space at either end, a
+    # doubled space, whitespace that is not U+0020 (no-break, line separator,
+    # NEL) and a zero-width space, which is not whitespace
+    @example("")
+    @example("a b")
+    @example(" a")
+    @example("a ")
+    @example("a  b")
+    @example("a\xa0b")
+    @example("a\u2028b")
+    @example("a\x85b")
+    @example("a\u200bb")
     def test_matches_regex_collapse(self, text):
         assert normalize_whitespace(text) == re.sub(r"\s+", " ", text).strip()
 

@@ -420,6 +420,61 @@ class TestBatchDecode:
                            for i in range(count)]
 
 
+class TestPromptIds:
+    """Prompt ids are checked against the model's vocabulary once, before
+    any step; a bad prompt in a batch fails alone."""
+
+    MODEL = random_ngram_model(np.random.default_rng(5), real_tokens=3)  # V = 4
+
+    @pytest.mark.parametrize("method", ["greedy", "beam", "sample"])
+    @pytest.mark.parametrize("prompt, first", [
+        ([99], 99),
+        ([-5], -5),
+        ([-1], -1),  # the model's BEGIN padding marker is no prompt id
+        ((0, 4, 2), 4),  # the vocabulary size itself
+        ([1, -2, 7], -2),
+        (np.array([3, 9]), 9),
+    ])
+    def test_out_of_range_id_raises_naming_the_first(self, method, prompt, first):
+        config = DecodeConfig(method=method, beam_size=2, seed=1, max_length=4)
+        with pytest.raises(ValueError) as err:
+            decode(self.MODEL, prompt, config)
+        assert str(err.value) == f"prompt token id {first} outside [0, 4)"
+
+    def test_edge_ids_decode(self):
+        config = DecodeConfig(method="beam", beam_size=2, max_length=4)
+        assert decode(self.MODEL, [0, 3], config).steps == 0  # ends at eos
+        assert decode(self.MODEL, np.array([0, 2]), config) == decode(self.MODEL, (0, 2), config)
+
+    @pytest.mark.parametrize("bad, message", [
+        (["x"], "TypeError: 'str' object cannot be interpreted as an integer"),
+        ([1.5], "TypeError: 'float' object cannot be interpreted as an integer"),
+        ([2, 4], "ValueError: prompt token id 4 outside [0, 4)"),
+    ])
+    def test_bad_prompt_fails_alone_in_a_batch(self, bad, message):
+        config = DecodeConfig(method="greedy", max_length=4)
+        errors = []
+        results = batch_decode(self.MODEL, [[2], bad, (1,)], config, errors=errors)
+        assert results[0] == decode(self.MODEL, [2], config)
+        assert results[1] is None
+        assert results[2] == decode(self.MODEL, (1,), replace(config, seed=config.seed + 2))
+        assert errors == [(1, message)]
+
+    def test_iterator_prompts_and_a_bad_prompt_across_workers(self):
+        # prompts are read in the calling process, so one-shot iterators
+        # reach the workers as id tuples and a bad prompt still fails alone
+        config = DecodeConfig(method="sample", seed=3, max_length=4)
+        prompts = [iter([2]), ["x"], (i for i in (1, 2))]
+        errors = []
+        results = batch_decode(self.MODEL, prompts, config, workers=2, errors=errors)
+        assert results == [
+            decode(self.MODEL, (2,), config),
+            None,
+            decode(self.MODEL, (1, 2), replace(config, seed=config.seed + 2)),
+        ]
+        assert errors == [(1, "TypeError: 'str' object cannot be interpreted as an integer")]
+
+
 class TestDecodeDispatch:
     def test_methods_route(self):
         model = greedy_trap_model()

@@ -149,6 +149,13 @@ EOS_BELOW_CUT = table(3, [0.5, 0.4, 0.1, 0.0], {
 })
 
 
+def assert_passes_the_checked_constructor(result, model):
+    """Decoders build their result unchecked; its ids must be the plain
+    in-range ints the checked TokenSequence constructor accepts."""
+    assert result.tokens == TokenSequence(result.tokens.ids, model.vocab)
+    assert all(type(i) is int for i in result.tokens.ids)
+
+
 @PROPERTY_SETTINGS
 @given(model=models, config=configs, prompt=st.lists(st.integers(0, 5), max_size=4))
 @example(model=UNIFORM, prompt=[],
@@ -170,6 +177,7 @@ def test_beam_search_equals_full_budget_oracle(model, config, prompt):
     expected = oracle.beam_search(reference, prompt, config)
     assert result.tokens.ids == expected[0].ids
     assert result.score == expected[0].log_prob
+    assert_passes_the_checked_constructor(result, model)
     # the early-stopped pool is the oracle's, cut at the stop
     assert pool[0] == expected[0]
     assert set(pool) <= set(expected)
@@ -254,6 +262,8 @@ def test_greedy_and_sample_equal_oracle(model, config, data):
     assert (greedy.tokens.ids, greedy.score) == oracle.greedy_decode(model, prompt, config)
     sampled = sample_decode(model, prompt, config)
     assert (sampled.tokens.ids, sampled.score) == oracle.sample_decode(model, prompt, config)
+    for result in (greedy, sampled):
+        assert_passes_the_checked_constructor(result, model)
 
 
 def assert_rows_match(model, prefixes):

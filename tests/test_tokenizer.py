@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -356,11 +357,28 @@ class TestTokenSequence:
         assert TokenSequence((), vocab).ids == ()
         assert TokenSequence((0, len(vocab) - 1), vocab).ids == (0, len(vocab) - 1)
 
+    @pytest.mark.parametrize("ids", [(1.5,), (0, 1.0), (0.0,), ("1",)])
+    def test_non_integer_ids_raise(self, ids):
+        vocab = simple_vocab({"a": -1.0})
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            TokenSequence(ids, vocab)
+
     def test_token_ids_helper(self):
         vocab = simple_vocab({"a": -1.0})
         seq = TokenSequence((0, 1), vocab)
         assert token_ids(seq) == (0, 1)
         assert token_ids([0, 1]) == (0, 1)
+
+    @pytest.mark.parametrize("ids", [[1.7], [0, 2.0], ["1"], [None]])
+    def test_token_ids_refuses_non_integers(self, ids):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            token_ids(ids)
+
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20))
+    def test_token_ids_of_numpy_array_are_plain_ints(self, ids):
+        got = token_ids(np.array(ids, dtype=np.int64))
+        assert got == tuple(ids)
+        assert all(type(i) is int for i in got)
 
 
 class TestViterbiSegment:
@@ -452,6 +470,20 @@ class TestViterbiSegment:
         assert vocab.max_token_len <= 1
         assert_matches_ranked_brute_force(text, vocab)
 
+    @settings(max_examples=300, deadline=None)
+    @given(vocab=st.one_of(_subword_vocabs(), _char_vocabs()),
+           text=st.text("abąz", max_size=8))
+    def test_result_passes_the_checked_constructor(self, vocab, text):
+        # the segmenter builds its result unchecked; the ids must be the
+        # plain in-range ints that the checked constructor accepts
+        try:
+            seq = viterbi_segment(text, vocab)
+        except ValueError:
+            return  # uncovered text, no unk: the brute-force tests pin this
+        assert seq == TokenSequence(seq.ids, vocab)
+        assert type(seq.ids) is tuple
+        assert all(type(i) is int and 0 <= i < len(vocab) for i in seq.ids)
+
     def test_round_trip_on_covered_text(self):
         rng = np.random.default_rng(31)
         vocab = simple_vocab(
@@ -494,3 +526,26 @@ class TestCharVocabulary:
     def test_empty_sample_fails(self):
         with pytest.raises(ValueError):
             char_vocabulary([])
+        with pytest.raises(ValueError):
+            char_vocabulary(iter(["", ""]))
+
+    @staticmethod
+    def per_character_oracle(texts):
+        """The tokens and log-probs char_vocabulary gives, counted one
+        character at a time."""
+        counts = Counter(ch for text in texts for ch in text)
+        total = sum(counts.values())
+        chars = sorted(counts)
+        log_probs = [0.0, 0.0] + [math.log(counts[c] / total) for c in chars]
+        return ["<eos>", "<unk>"] + chars, log_probs
+
+    @given(st.lists(st.text(max_size=12), max_size=6).filter(lambda ts: any(ts)))
+    @example(["aab", "", "ąčę\n\t "])
+    def test_matches_per_character_counts(self, texts):
+        tokens, log_probs = self.per_character_oracle(texts)
+        for sample in (texts, iter(texts), (text for text in texts)):
+            vocab = char_vocabulary(sample)
+            assert vocab.tokens == tuple(tokens)
+            # bit for bit, not approximately
+            assert vocab.log_probs.tolist() == log_probs
+            assert (vocab.eos_id, vocab.unk_id) == (0, 1)
