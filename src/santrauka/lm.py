@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -200,12 +201,20 @@ class NGramModel(LanguageModel):
         return self._order - 1
 
     def context_of(self, prefix) -> tuple[int, ...]:
-        """Last order-1 prefix ids, left-padded with BEGIN markers."""
+        """Last order-1 prefix ids, left-padded with BEGIN markers.
+
+        Each id read must be an integer (TypeError on a float) in [0, V);
+        BEGIN is the model's own padding, never a prefix id.
+        """
         width = self._order - 1
         if width == 0:
             return ()
         ids = prefix if isinstance(prefix, (tuple, list)) else token_ids(prefix)
-        tail = tuple(map(int, ids[-width:]))
+        tail = tuple(map(operator.index, ids[-width:]))
+        size = len(self._vocab)
+        for x in tail:
+            if not 0 <= x < size:
+                raise ValueError(f"prefix id {x} outside [0, {size})")
         return (BEGIN,) * (width - len(tail)) + tail
 
     def _probs(self, ctx: tuple[int, ...]) -> np.ndarray:

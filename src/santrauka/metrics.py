@@ -8,6 +8,11 @@ O(|a|·⌈|b|/word⌉) big-integer operations. Tokens must be hashable. Both
 report precision, recall, and balanced F1. Pairs are conventionally
 tokenized with lowercasing and an optional stemmer plugin before scoring.
 
+The Lithuanian light stemmer makes one set lookup per suffix length,
+longest first. Its test oracle is the old one ``endswith`` test per
+suffix; a test also requires the per-length sets to split the suffix
+list exactly, with no suffix longer than the five lengths tested.
+
 Aggregates are the arithmetic mean and sample standard deviation
 (divisor n-1, zero for a single record), rendered as "0.298 (0.154)".
 """
@@ -72,8 +77,11 @@ def rouge_n(candidate: Sequence, reference: Sequence, n: int) -> RougeScore:
     """n-gram overlap score between candidate and reference token lists."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    candidate_grams = ngrams(candidate, n)
-    reference_grams = ngrams(reference, n)
+    if n == 1:
+        # unigrams counted as tokens, not 1-tuples: the same match counts
+        candidate_grams, reference_grams = Counter(candidate), Counter(reference)
+    else:
+        candidate_grams, reference_grams = ngrams(candidate, n), ngrams(reference, n)
     matched = sum(
         min(count, reference_grams[gram])
         for gram, count in candidate_grams.items()
@@ -154,14 +162,11 @@ _LT_SUFFIXES = frozenset(
     ]
 )
 
-# (length, suffixes of that length), longest first; a word's ending of a
-# given length is one string, so each group matches at most one suffix
-_LT_SUFFIXES_BY_LENGTH = tuple(
-    (size, frozenset(s for s in _LT_SUFFIXES if len(s) == size))
-    for size in sorted({len(s) for s in _LT_SUFFIXES}, reverse=True)
+# the suffixes of each length 1-5; a word's ending of a given length is one
+# string, so each set matches at most one suffix
+_LT_5, _LT_4, _LT_3, _LT_2, _LT_1 = (
+    frozenset(s for s in _LT_SUFFIXES if len(s) == size) for size in (5, 4, 3, 2, 1)
 )
-
-_MIN_STEM = 3
 
 
 def lithuanian_light_stem(word: str) -> str:
@@ -171,9 +176,18 @@ def lithuanian_light_stem(word: str) -> str:
     would fall below three characters, so short words and the stop word
     "ir" pass through unchanged.
     """
-    for size, suffixes in _LT_SUFFIXES_BY_LENGTH:
-        if len(word) - size >= _MIN_STEM and word[-size:] in suffixes:
-            return word[:-size]
+    # one test per suffix length; n >= length + 3 keeps a three-character stem
+    n = len(word)
+    if n >= 8 and word[-5:] in _LT_5:
+        return word[:-5]
+    if n >= 7 and word[-4:] in _LT_4:
+        return word[:-4]
+    if n >= 6 and word[-3:] in _LT_3:
+        return word[:-3]
+    if n >= 5 and word[-2:] in _LT_2:
+        return word[:-2]
+    if n >= 4 and word[-1] in _LT_1:
+        return word[:-1]
     return word
 
 

@@ -53,6 +53,12 @@ def word_tokenize(text: str, lowercase: bool = False) -> list[str]:
     Internal punctuation (hyphens, apostrophes) is kept; words that are
     all punctuation disappear. Idempotent on its own output.
     """
+    if lowercase:
+        # one lower() for the whole text equals one per token: no code
+        # point lowers to or from whitespace or punctuation, and the
+        # final-sigma rule reads no context across whitespace (both gated
+        # in tests/test_tokenizer.py)
+        text = text.lower()
     tokens = []
     for chunk in text.split():
         # alphanumeric edges are never punctuation: most words skip the scan
@@ -65,7 +71,7 @@ def word_tokenize(text: str, lowercase: bool = False) -> list[str]:
             if start == end:
                 continue
             chunk = chunk[start:end]
-        tokens.append(chunk.lower() if lowercase else chunk)
+        tokens.append(chunk)
     return tokens
 
 

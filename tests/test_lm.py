@@ -194,6 +194,39 @@ class TestNextDistribution:
         assert logits[1] == 0.0
         assert np.isneginf(logits[0])
 
+    @pytest.mark.parametrize("read", ["next_logits", "next_distribution"])
+    @pytest.mark.parametrize("prefix", [[1.7], (0, 1.0), np.array([0.5])])
+    def test_a_float_id_raises_rather_than_truncating(self, read, prefix):
+        model = ab_model(alpha=1.0)
+        with pytest.raises(TypeError):
+            getattr(model, read)(prefix)
+
+    @pytest.mark.parametrize("read", ["next_logits", "next_distribution"])
+    @pytest.mark.parametrize("prefix, first", [
+        ([99], 99),
+        ([-7], -7),
+        ((0, 3), 3),       # V = 3
+        ([BEGIN], BEGIN),  # the model's own padding is no prefix id
+        ((5, -2), 5),      # order 3 reads both ids; the first is named
+    ])
+    def test_an_id_outside_the_vocabulary_is_named(self, read, prefix, first):
+        model = ab_model(order=3, alpha=1.0)
+        with pytest.raises(ValueError, match=rf"prefix id {first} outside \[0, 3\)"):
+            getattr(model, read)(prefix)
+
+    def test_only_the_ids_read_are_checked(self):
+        # an order-2 model reads the last id alone, as its context width says
+        model = ab_model(order=2, alpha=1.0)
+        np.testing.assert_array_equal(
+            model.next_distribution((99, 0)), model.next_distribution((0,))
+        )
+
+    def test_numpy_integer_ids_are_accepted(self):
+        model = ab_model(order=3, alpha=1.0)
+        expected = model.next_logits((0, 1))
+        for prefix in ([np.int64(0), np.int32(1)], np.array([0, 1]), np.array([0, 1], np.uint8)):
+            np.testing.assert_array_equal(model.next_logits(prefix), expected)
+
 
 def memo_model(order, alpha):
     vocab = Vocabulary(["a", "b", "c", "<eos>"], [-1.0] * 4, eos="<eos>")

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scoring_oracle import category_word_tokenize, slice_window_ngrams
+from santrauka import metrics
 from santrauka.metrics import (
     _STEMMERS,
     _lcs_len,
@@ -183,6 +184,29 @@ class TestRougeN:
                 assert got.recall == pytest.approx(expected.recall, abs=1e-12)
                 assert got.f1 == pytest.approx(expected.f1, abs=1e-12)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pair=st.one_of(
+            st.tuples(*[st.lists(st.sampled_from(["a", "b", "ą", 1, (2,)]), max_size=12)] * 2),
+            st.tuples(*[st.lists(st.sampled_from("abc"), max_size=12).map(tuple)] * 2),
+            st.tuples(*[st.text("abą", max_size=12)] * 2),
+        ),
+    )
+    @example(pair=([], []))
+    @example(pair=("aab", "ab"))
+    # a 1-tuple token and the token it holds are different unigrams
+    @example(pair=([(2,), 2], [2, 2]))
+    def test_unigrams_match_slice_windows(self, pair):
+        # unigrams are counted as tokens, not 1-tuples: scores equal exactly
+        candidate, reference = pair
+        cand_grams = slice_window_ngrams(candidate, 1)
+        ref_grams = slice_window_ngrams(reference, 1)
+        matched = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
+        expected = RougeScore.from_counts(
+            matched, sum(cand_grams.values()), sum(ref_grams.values())
+        )
+        assert rouge_n(candidate, reference, 1) == expected
+
 
 class TestRougeL:
     def test_reordered_pair(self):
@@ -333,6 +357,17 @@ class TestStemmers:
     def test_lithuanian_light_matches_endswith_loop_on_suffixes(self, prefix, suffix):
         word = prefix + suffix
         assert lithuanian_light_stem(word) == endswith_stem_oracle(word)
+
+    def test_length_sets_split_the_suffix_list_exactly(self):
+        # the stemmer tests lengths 5 down to 1 only: a longer suffix added
+        # to the list would never be stripped
+        by_length = {5: metrics._LT_5, 4: metrics._LT_4, 3: metrics._LT_3,
+                     2: metrics._LT_2, 1: metrics._LT_1}
+        assert max(map(len, metrics._LT_SUFFIXES)) <= 5
+        for size, suffixes in by_length.items():
+            assert suffixes == {s for s in metrics._LT_SUFFIXES if len(s) == size}, size
+        assert frozenset().union(*by_length.values()) == metrics._LT_SUFFIXES
+        assert set(_OLD_LT_SUFFIXES) == metrics._LT_SUFFIXES
 
     def test_lithuanian_light_every_suffix_every_prefix_length(self):
         for suffix in _OLD_LT_SUFFIXES:

@@ -143,7 +143,15 @@ class TestWordTokenize:
 
     @settings(max_examples=500, deadline=None)
     @given(
-        text=st.text("aąčęėįšųūžAĄŽ09²½٣_.,!?-–—„“«»'\"()…:;/§ \t\n", max_size=40),
+        text=st.text(
+            "aąčęėįšųūžAĄŽ09²½٣_.,!?-–—„“«»'\"()…:;/§ \t\n"
+            # final sigma, a capital that lowers to two code points, the
+            # capital sharp s, a combining dot, zero-width and soft-hyphen
+            # format characters, the Mongolian vowel separator (no longer
+            # whitespace) and a no-break space (whitespace)
+            "Σςİẞ\u0307\u200b\u00ad\u180e\u00a0",
+            max_size=40,
+        ),
         lowercase=st.booleans(),
     )
     # non-ASCII alphanumeric edges (a letter, a superscript digit, an
@@ -154,9 +162,35 @@ class TestWordTokenize:
     @example(text="„ą“ (²) ٣. ǅ! -ą- ¿ǅ? ²… «٣»", lowercase=True)
     @example(text="ą, ,ą ²- -² ٣) (٣ ǅ: :ǅ ą-² ǅ—٣ ., ą-", lowercase=False)
     @example(text="ǅ-. .ą ²'٣ …ǅ…", lowercase=True)
+    # the whole text is lowered before edges are stripped: final sigma and
+    # the two-code-point lowering of İ meet stripped punctuation
+    @example(text="ΟΔΟΣ.", lowercase=True)
+    @example(text="„ΑΣ“", lowercase=True)
+    @example(text="ΑΣ.Β", lowercase=True)
+    @example(text="İ.", lowercase=True)
+    @example(text="(İ)", lowercase=True)
     def test_matches_category_lookup(self, text, lowercase):
         expected = category_word_tokenize(text, lowercase=lowercase)
         assert word_tokenize(text, lowercase=lowercase) == expected
+
+    def test_lowering_keeps_whitespace_punctuation_and_alphanumeric_starts(self):
+        # what lets word_tokenize lower the whole text once: no code point
+        # lowers to or from whitespace or punctuation, so chunks split and
+        # strip where they did, and none changes whether the first code
+        # point is alphanumeric
+        def kinds(ch):
+            return ch.isspace(), unicodedata.category(ch).startswith("P")
+
+        moved = []
+        for cp in range(sys.maxunicode + 1):
+            c = chr(cp)
+            lowered = c.lower()
+            if (
+                any(kinds(ch) != kinds(c) for ch in lowered)
+                or lowered[0].isalnum() != c.isalnum()
+            ):
+                moved.append(hex(cp))
+        assert moved == []
 
     def test_no_alphanumeric_code_point_is_punctuation(self):
         both = [
