@@ -33,14 +33,17 @@ Selection never sorts a step's candidates. Each row's successors come
 ranked most probable first, so their scores never rise along the row; a
 heap merges the rows and stops once ``width`` are live, so only the
 candidates it reaches are scored, each from its record's log. A run of
-equal scores is sorted by id only where its ids descend. The pool and
-every output equal those of a full sort.
+equal scores is sorted by id only where its ids descend. Beam search's
+early stop is tested on the merge's head, the best successor, before any
+is taken, so a stopping step builds none. The pool and every output equal
+those of a full sort tested after each step.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -104,20 +107,21 @@ class DecodeConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be at least 1")
-        if self.max_length < 1:
-            raise ValueError("max_length must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, least in (("beam_size", 1), ("max_length", 1), ("seed", 0),
+                            ("top_k", 1), ("no_repeat_ngram_size", 1)):
+            value = getattr(self, name)
+            if value is None and name in ("top_k", "no_repeat_ngram_size"):
+                continue
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+            value = operator.index(value)
+            object.__setattr__(self, name, value)
+            if value < least:
+                raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
         if self.top_p is not None and not 0 < self.top_p <= 1:
             raise ValueError("top_p must lie in (0, 1]")
-        if self.no_repeat_ngram_size is not None and self.no_repeat_ngram_size < 1:
-            raise ValueError("no_repeat_ngram_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -279,26 +283,32 @@ def _step(
 
     A row's key is its context, the last ``model.context_width`` ids of
     prompt plus ids, with its sorted banned ids and whether the ban stage
-    has begun. Keys the memo lacks are scored with one batched model call,
-    shaped together and stored; every record is bit-identical to shaping
-    that hypothesis alone.
+    has begun. The memo is probed once per row; keys it lacks are scored
+    with one batched model call, shaped together and stored; every record
+    is bit-identical to shaping that hypothesis alone.
     """
     n = config.no_repeat_ngram_size
-    # live hypotheses share one length
+    # live hypotheses share one length, so every context keeps one head of
+    # the prompt before its ids, or, past the prompt, its ids from one cut
     generated = len(live[0][1])
     stage = n is not None and generated >= n
     w = model.context_width
-    start = 0 if w is None else max(len(prompt_ids) + generated - w, 0)
-    keys = [((prompt_ids + ids)[start:],
-             tuple(sorted(set(_banned(ids, n)))) if stage else (), stage)
-            for _, ids in live]
+    start = 0 if w is None else len(prompt_ids) + generated - w
+    head, cut = prompt_ids[max(start, 0):], max(start - len(prompt_ids), 0)
+    contexts = [head + ids for _, ids in live] if head else [ids[cut:] for _, ids in live]
+    bans = [_banned(ids, n) for _, ids in live] if stage else [()] * len(live)
+    # fewer than two banned ids are already sorted and distinct
+    keys = [(context, tuple(b) if len(b) < 2 else tuple(sorted(set(b))), stage)
+            for context, b in zip(contexts, bans)]
     records = {} if memo is None else memo
     if len(records) >= _MEMO_CAP:
         records.clear()  # records equal rows shaped afresh: no output changes
-    missing = [key for key in dict.fromkeys(keys) if key not in records]
-    if missing:
+    found = list(map(records.get, keys))
+    if None in found:  # records are tuples, never None
+        missing = list(dict.fromkeys(k for k, record in zip(keys, found) if record is None))
         records.update(zip(missing, _shape(model, missing, config, width, sampling)))
-    return [records[key] for key in keys]
+        found = [records[key] for key in keys]
+    return found
 
 
 def _shape(
@@ -406,8 +416,8 @@ def _select(
     eos: int,
     finished: list[_Pair],
 ) -> list[_Pair]:
-    """The ``width`` best unfinished successors, in search order; every eos
-    successor is pushed onto the ``finished`` heap.
+    """The ``width`` best unfinished successors in search order, or none if
+    the best finished score beats them; eos successors go onto ``finished``.
 
     Search order is the order of ``(neg, ids)`` pairs: by score, then by
     ids. Live ids share one length, so (parent ids, token) orders as the
@@ -424,6 +434,10 @@ def _select(
         # the row's tokens, the end of its measured run, the score after it
         runs.append([tokens, 0, 0.0])
     heapq.heapify(heap)
+    if heap and finished and finished[0][0] < heap[0][0]:
+        # steps add log p <= 0, so no successor can end above the best
+        # finished score; a tie keeps decoding, as id order may favour it
+        return []
     selected = []
     while heap:
         neg_score, ids, token, i, j = heap[0]
@@ -463,7 +477,8 @@ def _search(
     unfinished candidates. A pair's natural order is the search order: by
     score, then by lexicographically smaller ids. Every eos successor goes
     onto the ``finished`` heap at once; the rest meet in :func:`_select`'s
-    lazy merge, which stops as soon as ``width`` are live.
+    lazy merge, which stops as soon as ``width`` are live, or takes none
+    once the best finished score beats its head.
     """
     beam = config.method == "beam"
     width = config.beam_size if beam else 1
@@ -486,11 +501,6 @@ def _search(
         records = _step(model, prompt_ids, live, config, width, sampling, memo)
         successors = _draws(records, rng, beam, width, eos) if sampling else records
         live = _select(live, successors, width, eos, finished)
-        if live and finished and finished[0][0] < live[0][0]:
-            # every step adds log p <= 0, so no live hypothesis can reach
-            # the best finished score; on a tie the id order could still
-            # favour one, so ties keep decoding
-            live = []
     # anything still alive ran out of budget and counts as finished
     finished.extend(live)
     finished.sort()

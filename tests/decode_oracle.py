@@ -4,9 +4,11 @@ These are the straightforward loops the fast decoders in
 ``santrauka.decode`` must match exactly, ids and scores alike. Each
 hypothesis gets its own ``next_logits`` call and its own distribution
 shaping, the repeated-n-gram ban rebuilds its n-gram set at every step,
-and beam search always runs until every hypothesis has finished or
-``max_length`` is spent. Nothing here is shared with the package beyond
-the model itself.
+and every step sorts all of its candidates. Beam search runs until every
+hypothesis has finished or ``max_length`` is spent, or, with
+``early_stop``, until a step ends with a finished hypothesis scoring
+strictly above the best live one. Nothing here is shared with the package
+beyond the model itself.
 """
 
 from __future__ import annotations
@@ -155,8 +157,10 @@ def sample_decode(model, prompt, config) -> tuple[tuple[int, ...], float]:
     return generated, score
 
 
-def beam_search(model, prompt, config) -> list[Hypothesis]:
-    """The full-budget finished pool, sorted best first."""
+def beam_search(model, prompt, config, early_stop=False) -> list[Hypothesis]:
+    """The finished pool, sorted best first: of the full budget, or with
+    ``early_stop`` of the steps up to the first that ends with a finished
+    score strictly above every live one."""
     prompt_ids = token_ids(prompt)
     eos = model.vocab.eos_id
     rng = np.random.default_rng(config.seed) if config.sample_within_beam else None
@@ -193,6 +197,9 @@ def beam_search(model, prompt, config) -> list[Hypothesis]:
                 finished.append(hyp)
             elif len(live) < config.beam_size:
                 live.append(hyp)
+        if early_stop and live and finished:
+            if max(h.log_prob for h in finished) > live[0].log_prob:
+                live = []
     finished.extend(Hypothesis(h.ids, h.log_prob, True) for h in live)
     finished.sort(key=lambda h: (-h.log_prob, h.ids))
     return finished

@@ -80,6 +80,36 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             DecodeConfig(no_repeat_ngram_size=0)
 
+    INTEGER_FIELDS = ("beam_size", "top_k", "no_repeat_ngram_size", "max_length", "seed")
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", np.float64(3.0)])
+    def test_integer_fields_refuse_other_types(self, name, value):
+        # a float used to fail deep inside a decode, or decode as if valid
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            DecodeConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    def test_integer_fields_store_plain_ints(self, name):
+        class Index:
+            def __index__(self):
+                return 3
+
+        for value in (np.int64(3), np.uint8(3), Index()):
+            stored = getattr(DecodeConfig(**{name: value}), name)
+            assert type(stored) is int and stored == 3
+
+    def test_only_top_k_and_the_ban_size_may_be_none(self):
+        config = DecodeConfig(top_k=None, no_repeat_ngram_size=None)
+        assert config.top_k is config.no_repeat_ngram_size is None
+        for name in ("beam_size", "max_length", "seed"):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+                DecodeConfig(**{name: None})
+
+    def test_seed_range_error_keeps_its_wording(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            DecodeConfig(seed=-1)
+
 
 class TestTopKFilter:
     def test_hand_renormalization(self):

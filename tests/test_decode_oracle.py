@@ -139,6 +139,11 @@ TIED_TWO = table(2, [0.25, 0.5, 0.25], {
 TIED_THREE = table(3, [2 / 7, 3 / 7, 0.0, 2 / 7], {
     0: [0.4, 0.2, 0.0, 0.4], 1: [0.25] * 4, 2: [0.0, 0.0, 0.0, 1.0], 3: [0.0, 0.5, 0.5, 0.0],
 })
+# (eos) and (0) tie at log 0.5; the unigram ban then forces (0, eos) at
+# log p = 0, and it wins on the lower ids, so stopping at the tie would
+# return the wrong winner
+TIE_WITH_FINISHED = table(1, [0.5, 0.5], {0: [0.5, 0.5]})
+TIE_CONFIG = DecodeConfig(method="beam", beam_size=2, no_repeat_ngram_size=1, max_length=5)
 # beam 2: (0, eos) ranks third at step 2, below both live successors, and
 # still wins at -1.49 once the live scores fall under it
 EOS_BELOW_CUT = table(3, [0.5, 0.4, 0.1, 0.0], {
@@ -169,6 +174,7 @@ def assert_passes_the_checked_constructor(result, model):
                              max_length=3, seed=5))
 @example(model=EOS_BELOW_CUT, prompt=[],
          config=DecodeConfig(method="beam", beam_size=2, max_length=6))
+@example(model=TIE_WITH_FINISHED, prompt=[], config=TIE_CONFIG)
 def test_beam_search_equals_full_budget_oracle(model, config, prompt):
     prompt = tuple(t % len(model.vocab) for t in prompt)
     counted = CountingModel(model)
@@ -178,10 +184,10 @@ def test_beam_search_equals_full_budget_oracle(model, config, prompt):
     assert result.tokens.ids == expected[0].ids
     assert result.score == expected[0].log_prob
     assert_passes_the_checked_constructor(result, model)
-    # the early-stopped pool is the oracle's, cut at the stop
+    # the pool is the early-stopping oracle's, to the step: a stop one step
+    # late would add to it, one step early would miss a winner or a member
     assert pool[0] == expected[0]
-    assert set(pool) <= set(expected)
-    assert pool == sorted(pool, key=lambda h: (-h.log_prob, h.ids))
+    assert pool == oracle.beam_search(model, prompt, config, early_stop=True)
     assert counted.rows <= reference.rows
 
 
@@ -321,15 +327,9 @@ def test_block_repeated_ngrams_equals_oracle(case):
 
 
 def test_tie_with_a_finished_hypothesis_keeps_decoding():
-    # (eos) and (a) tie at log 0.5; the unigram ban then forces (a, eos)
-    # at log p = 0, and it wins on the lower ids, so stopping at the tie
-    # would return the wrong winner
-    vocab = make_vocab(1)
-    model = TableModel(vocab, [0.5, 0.5], {0: [0.5, 0.5]})
-    config = DecodeConfig(method="beam", beam_size=2, no_repeat_ngram_size=1, max_length=5)
-    result = beam_search(model, (), config)
+    result = beam_search(TIE_WITH_FINISHED, (), TIE_CONFIG)
     assert result.tokens.ids == (0, 1)
-    assert result.tokens.ids == oracle.beam_search(model, (), config)[0].ids
+    assert result.tokens.ids == oracle.beam_search(TIE_WITH_FINISHED, (), TIE_CONFIG)[0].ids
 
 
 def test_early_stop_skips_steps_after_the_winner_finishes():
@@ -376,7 +376,7 @@ def assert_equals_oracle(model, prompt, config):
         expected = oracle.beam_search(model, prompt, config)
         assert (result.tokens.ids, result.score) == (expected[0].ids, expected[0].log_prob)
         assert pool[0] == expected[0]
-        assert set(pool) <= set(expected)
+        assert pool == oracle.beam_search(model, prompt, config, early_stop=True)
     else:
         reference = oracle.greedy_decode if config.method == "greedy" else oracle.sample_decode
         result = decode(model, prompt, config)
@@ -521,6 +521,60 @@ def test_a_memo_cap_of_one_changes_no_output(model, runs):
     # each step that found a record cleared its shaping first, so at most
     # one step's keys, one per live hypothesis, are left
     assert all(len(records) <= 4 for records in decode_module._MEMO[model].values())
+
+
+class WidthCountingModel(CountingModel):
+    """A :class:`CountingModel` that declares its inner model's context
+    width, so its decodes keep records."""
+
+    @property
+    def context_width(self):
+        return self.inner.context_width
+
+
+BEAM_4_BAN_2 = replace(BEAM_BAN_2, beam_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models, runs=config_runs)
+# width 0: every row of a step has one context, so only bans tell keys apart
+@example(model=random_ngram_model(1, 3, 1, 0.3),
+         runs=[(BEAM_4_BAN_2, [0, 1]), (replace(BEAM_4_BAN_2, no_repeat_ngram_size=None), [])])
+# width 2 reaches past a prompt of 0 or 1 ids into the generated ids
+@example(model=random_ngram_model(2, 3, 3, 0.3), runs=[(BEAM_4_BAN_2, []), (BEAM_4_BAN_2, [1])])
+def test_each_missing_key_is_scored_once_and_a_warm_rerun_scores_none(model, runs):
+    counted = WidthCountingModel(model)
+    runs = fitted(model, runs)
+    cold = [decode(counted, prompt, config) for config, prompt in runs]
+    # runs of at most 10 steps of 4 rows stay under the cap, so every
+    # record stored is still there: one row scored per key, shared or not
+    assert counted.rows == sum(map(len, decode_module._MEMO[counted].values()))
+    counted.rows = 0
+    assert [decode(counted, prompt, config) for config, prompt in runs] == cold
+    assert counted.rows == 0
+
+
+@PROPERTY_SETTINGS
+@given(prompt=st.lists(st.integers(0, 4), max_size=4).map(tuple),
+       ids=st.lists(st.integers(0, 4), max_size=40).map(tuple),
+       n=st.integers(1, 4), width=st.none() | st.integers(0, 6))
+@example(prompt=(), ids=(0, 1, 0, 1, 0), n=2, width=0)  # one id banned twice
+@example(prompt=(), ids=(0, 3, 0, 1, 0), n=2, width=0)  # bans found out of order
+@example(prompt=(2,), ids=(0, 0), n=1, width=3)  # a unigram ban of one id, met twice
+@example(prompt=(1, 2), ids=(3,), n=2, width=2)  # a context of one prompt id and the ids
+def test_a_key_is_the_oracle_context_and_sorted_set_of_bans(prompt, ids, n, width):
+    eos = 5  # never among the ids, so the oracle never collapses the row to it
+    model = SimpleNamespace(context_width=width, vocab=SimpleNamespace(eos_id=eos),
+                            next_logits_batch=lambda contexts: np.zeros((len(contexts), 6)))
+    memo = {}
+    config = DecodeConfig(no_repeat_ngram_size=n)
+    decode_module._step(model, prompt, [(0.0, ids)], config, 1, False, memo)
+    ((context, bans, stage),) = memo
+    whole = prompt + ids
+    assert context == (whole if width is None else whole[max(len(whole) - width, 0):])
+    banned = oracle.block_repeated_ngrams(ids, np.ones(6), n, eos) == 0
+    assert bans == tuple(np.flatnonzero(banned).tolist())
+    assert stage == (len(ids) >= n)
 
 
 @st.composite
