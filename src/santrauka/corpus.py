@@ -36,6 +36,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from santrauka._checks import count, real
+
 __all__ = [
     "Article",
     "FilterConfig",
@@ -288,9 +290,9 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("min_summary_chars", "min_body_chars", "min_body_to_summary_ratio"):
-            if not getattr(self, name) >= 0:
+            if not real(name, getattr(self, name)) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not 0 <= self.max_overlap_ratio <= 1:
+        if not 0 <= real("max_overlap_ratio", self.max_overlap_ratio) <= 1:
             raise ValueError("max_overlap_ratio must lie in [0, 1]")
 
 
@@ -415,8 +417,7 @@ def split_validation(
     order. Both are disjoint and together cover the input exactly.
     """
     articles = list(articles)
-    if n_validation < 0:
-        raise ValueError("n_validation must be nonnegative")
+    n_validation = count("n_validation", n_validation, 0)
     if n_validation > len(articles):
         raise ValueError(
             f"n_validation={n_validation} exceeds corpus size {len(articles)}"

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -51,6 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
+from santrauka._checks import count, real
 from santrauka.lm import LanguageModel, softmax_rows
 from santrauka.tokenizer import TokenSequence, token_ids
 
@@ -110,17 +110,11 @@ class DecodeConfig:
         for name, least in (("beam_size", 1), ("max_length", 1), ("seed", 0),
                             ("top_k", 1), ("no_repeat_ngram_size", 1)):
             value = getattr(self, name)
-            if value is None and name in ("top_k", "no_repeat_ngram_size"):
-                continue
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-            value = operator.index(value)
-            object.__setattr__(self, name, value)
-            if value < least:
-                raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
-        if not self.temperature > 0:
+            if value is not None or name not in ("top_k", "no_repeat_ngram_size"):
+                object.__setattr__(self, name, count(name, value, least))
+        if not real("temperature", self.temperature) > 0:
             raise ValueError("temperature must be positive")
-        if self.top_p is not None and not 0 < self.top_p <= 1:
+        if self.top_p is not None and not 0 < real("top_p", self.top_p) <= 1:
             raise ValueError("top_p must lie in (0, 1]")
 
 
@@ -150,8 +144,7 @@ def top_k_filter(dist: np.ndarray, k: int) -> np.ndarray:
     Ties on probability resolve toward the lower id. k >= vocabulary
     size returns the input unchanged.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = count("k", k, 1)
     dist = np.array(dist, dtype=float)
     return _top_k_rows(dist.reshape(1, -1), k)[0]
 
@@ -162,7 +155,7 @@ def top_p_filter(dist: np.ndarray, p: float) -> np.ndarray:
     At least the single most probable token always survives, even when
     its probability alone exceeds p. p=1 returns the input unchanged.
     """
-    if not 0 < p <= 1:
+    if not 0 < real("p", p) <= 1:
         raise ValueError("p must lie in (0, 1]")
     dist = np.array(dist, dtype=float)
     return _top_p_rows(dist.reshape(1, -1), p)[0]
@@ -178,8 +171,7 @@ def block_repeated_ngrams(
     that already occurs in ``ids``. If every token would be banned, the
     distribution collapses to eos so decoding can always halt.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = count("n", n, 1)
     dist = np.asarray(dist, dtype=float)
     ids = tuple(ids)
     if len(ids) < n:

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from santrauka._checks import count, real
 from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
 
 __all__ = [
@@ -81,7 +82,7 @@ def apply_temperature(logits, tau: float) -> np.ndarray:
     Larger tau flattens the distribution, smaller tau sharpens it; the
     argmax never moves.
     """
-    if not tau > 0:
+    if not real("temperature", tau) > 0:
         raise ValueError("temperature must be positive")
     return softmax(np.asarray(logits, dtype=float) / tau)
 
@@ -127,11 +128,11 @@ class LanguageModel(ABC):
         return softmax(self.next_logits(prefix))
 
 
-def _check_order_alpha(order: int, alpha: float) -> None:
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if not 0 <= alpha < math.inf:
+def _check_order_alpha(order: int, alpha: float) -> int:
+    order = count("order", order, 1)
+    if not real("alpha", alpha) >= 0:
         raise ValueError("alpha must be finite and nonnegative")
+    return order
 
 
 class NGramModel(LanguageModel):
@@ -150,7 +151,7 @@ class NGramModel(LanguageModel):
         alpha: float,
         counts: dict[tuple[int, ...], dict[int, int]],
     ):
-        _check_order_alpha(order, alpha)
+        order = _check_order_alpha(order, alpha)
         self._vocab = vocab
         self._order = order
         self._alpha = float(alpha)
@@ -306,7 +307,7 @@ def train_ngram(
     adds its ``order``-wide windows to one ``Counter``; the windows are
     then grouped by context.
     """
-    _check_order_alpha(order, alpha)
+    order = _check_order_alpha(order, alpha)
     windows: Counter[tuple[int, ...]] = Counter()
     begin = (BEGIN,) * (order - 1)
     seen_any = False
@@ -378,7 +379,7 @@ class TableModel(LanguageModel):
     def _check_row(self, row: np.ndarray) -> np.ndarray:
         if row.shape != (len(self._vocab),):
             raise ValueError("distribution length does not match vocabulary size")
-        if (row < 0).any() or abs(row.sum() - 1.0) > 1e-9:
+        if not (row >= 0).all() or not abs(row.sum() - 1.0) <= 1e-9:
             raise ValueError("rows must be probability distributions")
         row.flags.writeable = False
         return row

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from santrauka._checks import count
 from santrauka.tokenizer import ngrams, word_tokenize
 
 __all__ = [
@@ -75,8 +76,7 @@ class RougeScore:
 
 def rouge_n(candidate: Sequence, reference: Sequence, n: int) -> RougeScore:
     """n-gram overlap score between candidate and reference token lists."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = count("n", n, 1)
     if n == 1:
         # unigrams counted as tokens, not 1-tuples: the same match counts
         candidate_grams, reference_grams = Counter(candidate), Counter(reference)

@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from santrauka._checks import count
+
 __all__ = [
     "TokenSequence",
     "Vocabulary",
@@ -77,8 +79,7 @@ def word_tokenize(text: str, lowercase: bool = False) -> list[str]:
 
 def ngrams(tokens: Sequence, n: int) -> Counter:
     """All contiguous windows of length ``n``, with multiplicities."""
-    if n < 1:
-        raise ValueError("n-gram order must be at least 1")
+    n = count("n-gram order", n, 1)
     if n > len(tokens):
         return Counter()
     # the i-th shifted copy supplies each window's i-th item; zip stops at
@@ -246,12 +247,13 @@ class Vocabulary:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
+        for token in self._tokens:  # load reads "\r" as a line end too
+            if "\t" in token or "\n" in token or "\r" in token:
+                raise ValueError(f"token {token!r} not representable in the file format")
         with open(path, "w", encoding="utf-8") as fh:
             specials = self.to_dict()["specials"]
             fh.write(json.dumps(specials, ensure_ascii=False) + "\n")
             for token, lp in zip(self._tokens, self._log_probs):
-                if "\t" in token or "\n" in token:
-                    raise ValueError(f"token {token!r} not representable in the file format")
                 fh.write(f"{token}\t{float(lp)!r}\n")
 
     @classmethod

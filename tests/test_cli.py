@@ -456,8 +456,7 @@ def _text(min_size=0):
     return st.text(min_size=min_size, max_size=12)
 
 
-_run_configs = st.builds(
-    RunConfig,
+_run_configs = st.fixed_dictionaries(dict(
     command=st.sampled_from(COMMANDS),
     input=_text(1),
     output=st.none() | _text(1),
@@ -481,10 +480,11 @@ _run_configs = st.builds(
     min_body_chars=st.integers(min_value=0),
     min_ratio=st.floats(min_value=0, allow_infinity=False),
     max_overlap_ratio=st.floats(min_value=0, max_value=1),
-).filter(
-    lambda c: (c.output or c.command == "stats") and (c.model or c.command != "decode")
+)).filter(  # a RunConfig refuses these at construction
+    lambda c: (c["output"] or c["command"] == "stats")
+    and (c["model"] or c["command"] != "decode")
 ).map(  # the fields a command does not read keep their defaults
-    lambda c: RunConfig(c.command, **{name: getattr(c, name) for name in SCOPE[c.command]})
+    lambda c: RunConfig(c["command"], **{name: c[name] for name in SCOPE[c["command"]]})
 )
 
 

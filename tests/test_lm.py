@@ -541,6 +541,15 @@ class TestTableModel:
         with pytest.raises(ValueError):
             TableModel(vocab, start=[0.7, 0.7, -0.4])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        # NaN passes both a "< 0" test and a "sum far from 1" test
+        vocab = ab_vocab()
+        with pytest.raises(ValueError, match="^rows must be probability distributions$"):
+            TableModel(vocab, start=[bad, 0.5, 0.5])
+        with pytest.raises(ValueError, match="^rows must be probability distributions$"):
+            TableModel(vocab, start=[0.5, 0.5, 0.0], transitions={0: [0.5, 0.5, bad]})
+
     def test_missing_transition_is_loud(self):
         vocab = ab_vocab()
         model = TableModel(vocab, start=[0.5, 0.5, 0.0])

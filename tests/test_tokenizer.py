@@ -278,11 +278,20 @@ class TestVocabulary:
             with pytest.raises(ValueError, match=rf"token id {token_id} outside \[0, 2\)"):
                 vocab.id_to_token(token_id)
 
-    @pytest.mark.parametrize("token", ["a\tb", "a\nb"])
+    @pytest.mark.parametrize("token", ["a\tb", "a\nb", "a\rb"])
     def test_save_refuses_a_token_the_format_cannot_hold(self, tmp_path, token):
         vocab = simple_vocab({token: -1.0})
         with pytest.raises(ValueError, match="not representable in the file format"):
             vocab.save(tmp_path / "vocab.txt")
+
+    def test_refused_save_leaves_an_existing_file_unchanged(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        simple_vocab({"z": -1.0}).save(path)
+        before = path.read_bytes()
+        vocab = Vocabulary(["a", "b\tc", "<eos>"], [-1.0, -1.0, 0.0], eos="<eos>")
+        with pytest.raises(ValueError, match="not representable in the file format"):
+            vocab.save(path)
+        assert path.read_bytes() == before
 
     def test_save_load_round_trip(self, tmp_path):
         vocab = simple_vocab({"a": math.log(0.25), "ab": math.log(0.5)}, unk=-10.0)
