@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 
 
 def count(name: str, value, least: int) -> int:
@@ -19,9 +20,14 @@ def count(name: str, value, least: int) -> int:
 
 
 def real(name: str, value):
-    """``value`` unconverted: a real number, not a bool, NaN or an infinity."""
+    """``value`` unconverted: a real number, not a bool, NaN, an infinity or
+    an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, not {type(value).__name__}")
-    if not -math.inf < value < math.inf:
+    # a float32 is compared with the infinities it holds, not the largest
+    # double, whose cast to it overflows
+    if not -math.inf < value < math.inf or (
+        isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max
+    ):
         raise ValueError(f"{name} must be a finite number, got {value}")
     return value

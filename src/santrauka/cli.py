@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import tempfile
@@ -110,7 +111,8 @@ class RunConfig:
                                        "least this share (default: 0.2)", commands=_FILTERING)
 
     def __post_init__(self):
-        """Every check a flag gets, so any RunConfig is valid; counts stay plain ints."""
+        """Every check a flag gets, so any RunConfig is valid; numbers are
+        stored as plain ints and floats, so a report can echo them."""
         vars(self).update(asdict(self.decode_config()))
         self.filter_config()
         self.ngram_order = _check_order_alpha(self.ngram_order, self.alpha)
@@ -121,6 +123,11 @@ class RunConfig:
                 raise ValueError(f"{self.command} requires --{path}")
         self.workers = count("workers", self.workers, 1)
         self.n_validation = count("n_validation", self.n_validation, 0)
+        for name, value in asdict(self).items():
+            # a numpy number passes the checks but not json.dumps
+            if isinstance(value, numbers.Real) and type(value) not in (int, float, bool):
+                plain = int if isinstance(value, numbers.Integral) else float
+                setattr(self, name, plain(value))
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(**{f.name: getattr(self, f.name) for f in fields(DecodeConfig)})
@@ -383,13 +390,17 @@ def _decode(
     text order, None where one failed, and the message of each failed index.
 
     A text that cannot be segmented fails alone and, like a malformed
-    request line, takes no seed.
+    request line, takes no seed. A character vocabulary with an unk token
+    maps each character to one id and segments every text, so it segments
+    only the first ``limit`` characters: the same ids.
     """
+    vocab = model.vocab
+    head = limit if vocab.max_token_len <= 1 and vocab.unk_id is not None else None
     errors: dict[int, str] = {}
     prompts: dict[int, tuple] = {}
     for i, text in enumerate(texts):
         try:
-            prompts[i] = viterbi_segment(text, model.vocab).ids[:limit]
+            prompts[i] = viterbi_segment(text[:head], vocab).ids[:limit]
         except ValueError as err:
             errors[i] = f"ValueError: {err}"
     slots, failed = list(prompts), []

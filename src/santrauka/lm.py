@@ -9,6 +9,10 @@ Sequence boundaries: training left-pads each sequence with n-1 begin
 markers (internal only, never predicted) and appends one terminal eos,
 so a trained model can always halt a decode. Likelihoods are summed in
 natural log, including the terminal eos event of every sequence.
+
+Training counts its windows in numpy, a few thousand ids at a time: each
+window is coded as one integer and the codes are grouped by a stable
+sort, so the counts, and their order, are those of a per-token loop.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 import operator
 import sys
 from abc import ABC, abstractmethod
-from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -295,21 +298,32 @@ class NGramModel(LanguageModel):
             return cls.from_dict(json.load(fh), vocab=vocab)
 
 
+#: Flat ids :func:`train_ngram` gathers before counting their windows: few
+#: enough that a generator of streams trains in bounded memory.
+_CHUNK = 4096
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def train_ngram(
     streams: Iterable, order: int, alpha: float, vocab: Vocabulary | None = None
 ) -> NGramModel:
     """Collect n-gram counts from token streams and build the model.
 
     Streams may be TokenSequence objects (the vocabulary is taken from
-    them) or plain id sequences with ``vocab`` passed explicitly. Every
-    sequence contributes one window per token plus a terminal eos event.
-    Each stream, padded with begin markers in front and eos at the end,
-    adds its ``order``-wide windows to one ``Counter``; the windows are
-    then grouped by context.
+    them) or plain id sequences with ``vocab`` passed explicitly; an id of
+    a plain stream outside ``[0, V)`` raises ValueError naming the first.
+    Every sequence contributes one window per token plus a terminal eos
+    event. Each stream, padded with begin markers in front and eos at the
+    end, joins one flat id list, whose ``order``-wide windows are counted
+    by :func:`_count_windows` every ``_CHUNK`` ids; the windows are then
+    grouped by context, both in first-occurrence order.
     """
     order = _check_order_alpha(order, alpha)
-    windows: Counter[tuple[int, ...]] = Counter()
-    begin = (BEGIN,) * (order - 1)
+    windows: dict[tuple[int, ...], int] = {}
+    carry = order - 1
+    begin = (BEGIN,) * carry
+    buffer: list[int] = []
     seen_any = False
     for stream in streams:
         if isinstance(stream, TokenSequence):
@@ -317,17 +331,68 @@ def train_ngram(
                 vocab = stream.vocab
             elif stream.vocab != vocab:
                 raise ValueError("streams mix different vocabularies")
+            ids = stream.ids  # checked when the sequence was built
         elif vocab is None:
             raise ValueError("vocab is required when streams are plain id sequences")
+        else:
+            ids = token_ids(stream)
+            if ids and not (0 <= min(ids) and max(ids) < len(vocab)):
+                bad = next(i for i in ids if not 0 <= i < len(vocab))
+                raise ValueError(f"token id {bad} outside [0, {len(vocab)})")
         seen_any = True
-        ids = begin + token_ids(stream) + (vocab.eos_id,)
-        windows.update(zip(*(ids[k:] for k in range(order))))
+        buffer += begin
+        buffer += ids
+        buffer.append(vocab.eos_id)
+        start = 0
+        # a chunk's last windows begin in the order - 1 ids after it
+        while len(buffer) - start >= _CHUNK + carry:
+            _count_windows(buffer[start : start + _CHUNK + carry], order, len(vocab), windows)
+            start += _CHUNK
+        del buffer[:start]
     if not seen_any:
         raise ValueError("cannot train on an empty corpus")
+    if len(buffer) > carry:
+        _count_windows(buffer, order, len(vocab), windows)
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     for window, count in windows.items():
         counts.setdefault(window[:-1], {})[window[-1]] = count
     return NGramModel(vocab, order, alpha, counts)
+
+
+def _count_windows(buffer: list[int], order: int, size: int, windows: dict) -> None:
+    """Add each ``order``-wide window of ``buffer`` (ids in ``[0, size)`` or
+    BEGIN) that ends on an id, not a begin pad, to ``windows``, new windows
+    in first-occurrence order.
+
+    A window's code is its ids shifted by one (BEGIN is 0), read in base
+    ``size + 1``. Where the next digit could overflow int64, the partial
+    codes are first replaced by their ranks.
+    """
+    ids = np.fromiter(buffer, np.int64, len(buffer)) + 1
+    n = len(ids) - order + 1
+    base = size + 1
+    code, top = ids[:n], size
+    for k in range(1, order):
+        if top * base + size > _INT64_MAX:
+            _, code = np.unique(code, return_inverse=True)
+            top = int(code.max())
+        code = code * base + ids[k : k + n]
+        top = top * base + size
+    # one stable sort (numpy radix-sorts up to 16 bits, so in the narrowest
+    # dtype that holds the codes): each run of equal codes starts at its
+    # first occurrence
+    rank = np.argsort(code.astype(np.min_scalar_type(top)), kind="stable")
+    ranked = code[rank]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    # each window's tally at its first occurrence, read back in position order
+    tallies = np.zeros(n, np.int64)
+    tallies[rank[starts]] = np.diff(np.append(starts, n))
+    first = np.flatnonzero(tallies)
+    # a window that runs from one stream into the next ends on a begin pad
+    first = first[ids[first + order - 1] != 0]
+    rows = ids[first[:, None] + np.arange(order)] - 1
+    for window, tally in zip(map(tuple, rows.tolist()), tallies[first].tolist()):
+        windows[window] = windows.get(window, 0) + tally
 
 
 def negative_log_likelihood(model: LanguageModel, dataset: Iterable) -> float:

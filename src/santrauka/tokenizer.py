@@ -423,6 +423,10 @@ def detokenize(seq: TokenSequence) -> str:
     return "".join(vocab.id_to_token(i) for i in seq.ids)
 
 
+#: Characters :func:`char_vocabulary` joins before counting them.
+_CHARS = 16384
+
+
 def char_vocabulary(
     texts: Iterable[str], eos_token: str = "<eos>", unk_token: str = "<unk>"
 ) -> Vocabulary:
@@ -431,10 +435,16 @@ def char_vocabulary(
     Every distinct character becomes a token scored by its log relative
     frequency. Handy as a self-contained fallback when no trained subword
     vocabulary is available.
+
+    The texts are read once and joined about ``_CHARS`` characters at a
+    time; ``np.unique`` counts each join's code points, a lone surrogate as
+    itself.
     """
     counts: Counter[str] = Counter()
-    for text in texts:
-        counts.update(text)
+    for blob in _joined(texts, _CHARS):
+        points = np.frombuffer(blob.encode("utf-32-le", "surrogatepass"), np.uint32)
+        points, tallies = np.unique(points, return_counts=True)
+        counts.update(dict(zip(map(chr, points.tolist()), tallies.tolist())))
     if not counts:
         raise ValueError("cannot build a vocabulary from empty text")
     total = sum(counts.values())
@@ -442,3 +452,16 @@ def char_vocabulary(
     tokens = [eos_token, unk_token] + chars
     log_probs = [0.0, 0.0] + [math.log(counts[c] / total) for c in chars]
     return Vocabulary(tokens, log_probs, eos=eos_token, unk=unk_token)
+
+
+def _joined(texts: Iterable[str], least: int):
+    """The texts joined in order, each join at least ``least`` characters
+    long but the last."""
+    chunk, size = [], 0
+    for text in texts:
+        chunk.append(text)
+        size += len(text)
+        if size >= least:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    yield "".join(chunk)

@@ -3,7 +3,9 @@ smoothing, public function argument and RunConfig count refuses a bool, a
 string, a non-finite number and (for a count) a non-integral one with an
 error that starts with the parameter's name, and accepts numpy numbers."""
 
+import json
 import math
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -198,3 +200,50 @@ def test_run_config_keeps_plain_int_counts():
     config = RunConfig("train-lm", input="i", output="o", ngram_order=np.int64(4),
                        seed=np.uint8(3), beam_size=np.int32(2))
     assert [type(v) for v in (config.ngram_order, config.seed, config.beam_size)] == [int] * 3
+
+
+#: The RunConfig fields that go through ``real``, each with a value of its range.
+_RUN_REALS = {"temperature": 1, "top_p": 1, "alpha": 1, "min_summary_chars": 5,
+              "min_body_chars": 5, "min_ratio": 1, "max_overlap_ratio": 1}
+
+
+@pytest.mark.parametrize("name", _RUN_REALS)
+@pytest.mark.parametrize("kind, plain", [(np.int64, int), (np.float64, float),
+                                         (np.float32, float)])
+def test_run_config_stores_numpy_reals_as_plain_numbers(name, kind, plain):
+    value = kind(_RUN_REALS[name] if kind is np.int64 else 0.3)
+    config = RunConfig("pipeline", input="i", output="o", **{name: value})
+    stored = getattr(config, name)
+    assert type(stored) is plain and stored == value
+    json.dumps(asdict(config))  # what every report echoes
+
+
+def test_run_config_keeps_plain_reals_as_given():
+    config = RunConfig("pipeline", input="i", output="o", temperature=2, alpha=0.5)
+    assert type(config.temperature) is int and config.temperature == 2
+    assert type(config.alpha) is float
+
+
+def test_a_numpy_real_echoes_in_a_report(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"source": "a.lt", "url": "u", "published_at": "2020-01-01",
+                                  "summary": "s" * 20, "body": "b" * 200}) + "\n")
+    config = RunConfig("filter", input=str(corpus), output=str(tmp_path / "kept.jsonl"),
+                       min_summary_chars=np.int64(5))
+    assert run(config) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["min_summary_chars"] == 5
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda v: train_ngram([[0, 1]], 2, v, VOCAB), "alpha", id="train_ngram"),
+    pytest.param(lambda v: NGramModel(VOCAB, 2, v, {}), "alpha", id="NGramModel"),
+    pytest.param(lambda v: FilterConfig(min_body_chars=v), "min_body_chars", id="FilterConfig"),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_too_large_for_a_float_is_refused(build, name, sign):
+    # it once passed the check and then overflowed at float(alpha)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+        build(sign * _HUGE)

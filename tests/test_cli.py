@@ -7,12 +7,15 @@ import shlex
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from santrauka import cli
 from santrauka.cli import (
     COMMANDS,
     RunConfig,
@@ -26,7 +29,7 @@ from santrauka.cli import (
 from santrauka.corpus import longest_common_substring_len
 from santrauka.decode import METHODS
 from santrauka.lm import NGramModel
-from santrauka.tokenizer import Vocabulary
+from santrauka.tokenizer import Vocabulary, viterbi_segment
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -450,6 +453,56 @@ class TestNonFiniteFloats:
             parse_args(["pipeline", "--input", "i", "--output", "o",
                         "--config", str(config_path)])
         assert exc.value.code == 2
+
+    def test_config_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"alpha": 1%s}' % ("0" * 400), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["pipeline", "--input", "i", "--output", "o",
+                        "--config", str(config_path)])
+        assert exc.value.code == 2
+        assert "--alpha must be a finite number" in capsys.readouterr().err
+
+
+@st.composite
+def _vocab_and_texts(draw):
+    """A vocabulary of single characters, with or without unk, sometimes
+    with a longer token too, and texts over a wider alphabet, some of them
+    shorter than the prompt limit."""
+    chars = draw(st.lists(st.sampled_from("abcdeą"), min_size=1, max_size=5, unique=True))
+    tokens = chars + draw(st.sampled_from([[], ["ab"]]))
+    unk = draw(st.sampled_from([None, "<unk>"]))
+    vocab = Vocabulary(tokens + ["<eos>"] + ([unk] if unk else []),
+                       [-1.0] * len(tokens) + [0.0] * (2 if unk else 1), eos="<eos>", unk=unk)
+    texts = draw(st.lists(st.text("abcdeąx", max_size=12), max_size=6))
+    return vocab, texts, draw(st.integers(1, 8))
+
+
+class TestPromptHeads:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_vocab_and_texts())
+    def test_prompts_and_errors_equal_cutting_whole_segmentations(self, case):
+        """Whether ``_decode`` segments a text's head or all of it, its
+        prompts and errors are those of segmenting everything, then cutting."""
+        vocab, texts, limit = case
+        expected_prompts, expected_errors = [], {}
+        for i, text in enumerate(texts):
+            try:
+                expected_prompts.append(viterbi_segment(text, vocab).ids[:limit])
+            except ValueError as err:
+                expected_errors[i] = f"ValueError: {err}"
+        seen = []
+
+        def batch_decode(model, prompts, config, workers, errors):
+            seen.extend(prompts)
+            return [None] * len(prompts)
+
+        config = RunConfig("decode", input="i", output="o", model="m")
+        model = SimpleNamespace(vocab=vocab)
+        with mock.patch.object(cli, "batch_decode", batch_decode):
+            _, errors = cli._decode(config, model, texts, limit)
+        assert seen == expected_prompts
+        assert errors == expected_errors
 
 
 def _text(min_size=0):

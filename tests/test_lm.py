@@ -2,12 +2,15 @@ import copy
 import json
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from santrauka import lm
 from santrauka.corpus import FilterConfig
 from santrauka.decode import DecodeConfig, batch_decode
 from santrauka.fixtures import greedy_trap_model
@@ -29,6 +32,10 @@ def ab_vocab():
     return Vocabulary(["a", "b", "<eos>"], [-1.0, -1.0, 0.0], eos="<eos>")
 
 
+#: 1,000 ids: at order 7 a window code, in base V + 1, passes int64.
+BIG_VOCAB = Vocabulary([f"t{i}" for i in range(999)] + ["<eos>"], [-1.0] * 1000, eos="<eos>")
+
+
 def ab_model(order=2, alpha=0.0):
     vocab = ab_vocab()
     stream = TokenSequence((0, 1, 0, 1), vocab)  # a b a b
@@ -37,7 +44,7 @@ def ab_model(order=2, alpha=0.0):
 
 def loop_counts(streams, order, vocab):
     """n-gram counts by the per-token loop train_ngram once ran: the oracle
-    for its Counter windows."""
+    for its numpy window counts."""
     counts = {}
     for stream in streams:
         context = (BEGIN,) * (order - 1)
@@ -47,6 +54,15 @@ def loop_counts(streams, order, vocab):
             if order > 1:
                 context = context[1:] + (tok,)
     return counts
+
+
+@st.composite
+def _vocab_streams(draw):
+    """A vocabulary and a few short id streams over it, some empty; on the
+    large vocabulary, ids mostly from a small set so windows repeat."""
+    vocab = draw(st.sampled_from([ab_vocab(), BIG_VOCAB]))
+    ids = st.integers(0, 2) | st.integers(0, len(vocab) - 1)
+    return vocab, draw(st.lists(st.lists(ids, max_size=9), min_size=1, max_size=5))
 
 
 def entropy(dist):
@@ -124,18 +140,52 @@ class TestTrainNgram:
         assert model.counts[(BEGIN,)] == {0: 1, 1: 1}
 
     @settings(max_examples=300, deadline=None)
-    @given(order=st.integers(1, 5), wrap=st.booleans(),
-           streams=st.lists(st.lists(st.integers(0, 2), max_size=9), min_size=1, max_size=5))
-    @example(order=3, wrap=False, streams=[[], [0], []])
-    def test_counts_match_the_per_token_loop(self, order, wrap, streams):
-        vocab = ab_vocab()
-        if wrap:
-            model = train_ngram([TokenSequence(tuple(s), vocab) for s in streams], order, 1.0)
-        else:
-            model = train_ngram(streams, order, 1.0, vocab=vocab)
-        # equal in insertion order too, contexts and tokens alike
+    @given(order=st.integers(1, 7), wrap=st.booleans(),
+           chunk=st.sampled_from([1, 2, 3, 4, 5, None]), case=_vocab_streams())
+    @example(order=3, wrap=False, chunk=None, case=(ab_vocab(), [[], [0], []]))
+    @example(order=7, wrap=True, chunk=2,
+             case=(BIG_VOCAB, [[998, 0, 998], [], [5] * 9, [998, 0, 998]]))
+    # two windows whose codes agree modulo 2**64, so int64 arithmetic alone
+    # would merge them
+    @example(order=7, wrap=False, chunk=None,
+             case=(BIG_VOCAB, [[0, 0, 0, 214, 0, 0, 0], [73, 346, 146, 0, 47, 2, 64]]))
+    def test_counts_match_the_per_token_loop(self, order, wrap, chunk, case):
+        """The counts equal the loop's in insertion order too, contexts and
+        tokens alike, wherever the chunks end: inside a stream or between
+        two. On the 1,000-id vocabulary an order of 7 ranks the partial
+        codes, whose next digit would overflow int64."""
+        vocab, streams = case
+        with mock.patch.object(lm, "_CHUNK", chunk or lm._CHUNK):
+            if wrap:
+                model = train_ngram([TokenSequence(tuple(s), vocab) for s in streams], order, 1.0)
+            else:
+                model = train_ngram(iter(streams), order, 1.0, vocab=vocab)
         as_lists = lambda counts: [(ctx, list(b.items())) for ctx, b in counts.items()]
         assert as_lists(model.counts) == as_lists(loop_counts(streams, order, vocab))
+
+    @pytest.mark.parametrize("bad", [3, -1, -5, 2**70])  # V = 3
+    def test_an_id_outside_the_vocabulary_is_named(self, bad):
+        # -1 is BEGIN's value, and each would code like some valid window
+        with pytest.raises(ValueError, match=rf"^token id {bad} outside \[0, 3\)$"):
+            train_ngram([[0, 1], [1, bad, 7], [0]], 3, 1.0, ab_vocab())
+
+    def test_a_float_id_raises_rather_than_truncating(self):
+        with pytest.raises(TypeError):
+            train_ngram([[0, 1.0]], 2, 1.0, ab_vocab())
+
+    def test_memory_stays_bounded_on_a_generator(self):
+        """Ten times the ids need at most twice the peak: the ids are
+        counted chunk by chunk, never held all at once."""
+        def peak(n_ids):
+            streams = ([(i + j) % 3 for j in range(100)] for i in range(n_ids // 100))
+            tracemalloc.start()
+            try:
+                train_ngram(streams, 3, 1.0, ab_vocab())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1_000_000) <= 2 * peak(100_000)
 
 
 class TestNextDistribution:

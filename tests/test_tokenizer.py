@@ -3,6 +3,7 @@ import re
 import sys
 import unicodedata
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scoring_oracle import category_word_tokenize, slice_window_ngrams
+from santrauka import tokenizer
 from santrauka.tokenizer import (
     TokenSequence,
     Vocabulary,
@@ -548,6 +550,11 @@ class TestDetokenize:
         assert detokenize(TokenSequence((), vocab)) == ""
 
 
+# any code point, lone surrogates too, and NUL and astral ones often
+_ANY_CHAR = st.characters(codec=None, categories=None) | st.sampled_from(
+    ["\x00", "\ud800", "\udfff", "\U0001f600", "\U0010ffff"])
+
+
 class TestCharVocabulary:
     def test_covers_observed_characters(self):
         vocab = char_vocabulary(["abc", "cba"])
@@ -582,12 +589,17 @@ class TestCharVocabulary:
         log_probs = [0.0, 0.0] + [math.log(counts[c] / total) for c in chars]
         return ["<eos>", "<unk>"] + chars, log_probs
 
-    @given(st.lists(st.text(max_size=12), max_size=6).filter(lambda ts: any(ts)))
-    @example(["aab", "", "ąčę\n\t "])
-    def test_matches_per_character_counts(self, texts):
+    @given(st.lists(st.text(_ANY_CHAR, max_size=12), max_size=6).filter(lambda ts: any(ts)),
+           st.sampled_from([1, 2, 3, None]))
+    @example(["aab", "", "ąčę\n\t "], None)
+    @example(["\ud800a\U0001f600", "\x00\udfff\ud800", "\U0010ffff"], 2)
+    def test_matches_per_character_counts(self, texts, chunk):
+        """Wherever the joins end, astral characters, NUL and lone
+        surrogates included."""
         tokens, log_probs = self.per_character_oracle(texts)
         for sample in (texts, iter(texts), (text for text in texts)):
-            vocab = char_vocabulary(sample)
+            with mock.patch.object(tokenizer, "_CHARS", chunk or tokenizer._CHARS):
+                vocab = char_vocabulary(sample)
             assert vocab.tokens == tuple(tokens)
             # bit for bit, not approximately
             assert vocab.log_probs.tolist() == log_probs
