@@ -24,9 +24,8 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import Field, asdict, dataclass, field, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 from santrauka._checks import count
 from santrauka.corpus import (
@@ -81,7 +80,7 @@ class RunConfig:
                                 type=str, commands=_TRAINING)
     seed: int = _option(0, "master seed for all randomness", commands=("split", *_DECODING))
     workers: int = _option(1, "decode worker processes (default: 1); on 2 cores a second "
-                           "paid off only from about 5,000 prompts", commands=_DECODING)
+                           "paid off from about 1,000 prompts", commands=_DECODING)
     method: str = _option("beam", "decoding algorithm (default: beam)", choices=METHODS,
                           commands=(*_DECODING, "evaluate"))
     beam_size: int = _option(10, "hypotheses kept per step (default: 10)", commands=_DECODING)
@@ -166,8 +165,17 @@ def _accepts(option: Field, value: object) -> bool:
     return isinstance(value, kind) or (kind is float and isinstance(value, int))
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's subparser, by command name."""
+def _build_parser(
+    argv: Sequence[str] = (),
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, by command name.
+
+    When the first non-option token of ``argv`` names a command, only that
+    command's subparser gets its flags: no other one parses, prints help or
+    reports an error in that run. Otherwise every subparser gets them.
+    """
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    flagged = (named,) if named in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="santrauka",
         description="Corpus filtering, n-gram language modeling, sequence "
@@ -180,7 +188,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     for command, (_, help) in _COMMANDS.items():
         p = subparsers[command] = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON file with RunConfig overrides")
-        for option in _scope(command).values():
+        for option in _scope(command).values() if command in flagged else ():
             if _value_type(option) is bool:
                 p.add_argument(_flag(option), action="store_const", const=True,
                                help=option.metadata["help"])
@@ -198,7 +206,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     mistyped config values, and every value RunConfig refuses (a range error
     named by its flag) exit with a usage error (status 2).
     """
-    parser, subparsers = _build_parser()
+    parser, subparsers = _build_parser(argv)
     namespace, extra = parser.parse_known_args(argv)
     command, scope = namespace.command, _scope(namespace.command)
     # scope errors print the command's own usage line, with its flags
@@ -390,12 +398,13 @@ def _decode(
     text order, None where one failed, and the message of each failed index.
 
     A text that cannot be segmented fails alone and, like a malformed
-    request line, takes no seed. A character vocabulary with an unk token
-    maps each character to one id and segments every text, so it segments
-    only the first ``limit`` characters: the same ids.
+    request line, takes no seed. A character vocabulary maps each character
+    to one id, so it segments only the first ``limit`` characters: the same
+    ids, and without unk the same error where the head holds a character it
+    lacks. A character past the head is never read, so it fails nothing.
     """
     vocab = model.vocab
-    head = limit if vocab.max_token_len <= 1 and vocab.unk_id is not None else None
+    head = limit if vocab.max_token_len <= 1 else None
     errors: dict[int, str] = {}
     prompts: dict[int, tuple] = {}
     for i, text in enumerate(texts):
@@ -551,7 +560,12 @@ def run(config: RunConfig) -> int:
         print(f"error: data: {err}", file=sys.stderr)
     except OSError as err:
         print(f"error: io: {err}", file=sys.stderr)
-    except BrokenProcessPool as err:
+    except RuntimeError as err:
+        # a broken pool can exist only once its module is loaded, so an
+        # unloaded module means the error is not a worker's
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(err, pool.BrokenProcessPool):
+            raise
         print(f"error: worker: {err}", file=sys.stderr)
     return 1
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -554,12 +553,25 @@ def _read_prompt(prompt) -> tuple[tuple[int, ...] | None, str | None]:
         return _failure(err)
 
 
-def _decode_task(task) -> tuple[DecodeResult | None, str | None]:
-    model, prompt, config = task
+def _decode_one(model: LanguageModel, ids: tuple[int, ...], config: DecodeConfig):
     try:
-        return decode(model, prompt, config), None
+        return decode(model, ids, config), None
     except Exception as err:  # noqa: BLE001 - per-prompt fault isolation
         return _failure(err)
+
+
+#: A decode worker's model, set once when the worker starts.
+_WORKER_MODEL: LanguageModel | None = None
+
+
+def _start_worker(model: LanguageModel) -> None:
+    global _WORKER_MODEL
+    _WORKER_MODEL = model
+
+
+def _decode_task(task) -> tuple[DecodeResult | None, str | None]:
+    """A worker's decode of one ``(prompt ids, seeded config)`` task."""
+    return _decode_one(_WORKER_MODEL, *task)
 
 
 def batch_decode(
@@ -577,22 +589,27 @@ def batch_decode(
     the rest of the batch continues. A prompt whose ids cannot be read, or
     fall outside the vocabulary, fails alone in the same way. ``workers``
     > 1 fans out across at most one process per prompt; ordering is
-    unaffected. Chunks are about a quarter of a worker's share, so no
-    worker is left with a long tail.
+    unaffected. Each worker gets the model once, when it starts (pickled
+    under ``spawn``, inherited under ``fork``), and keeps its memo across
+    the chunks it decodes; a task is only a prompt's ids and its seeded
+    config. Chunks are about a quarter of a worker's share, so no worker
+    is left with a long tail.
     """
     # each prompt is read to a plain id tuple here, inside its own
     # isolation, so a worker receives ints and never an iterator or a
     # sequence's vocabulary
     read = [_read_prompt(p) for p in prompts]
-    tasks = [
-        (model, ids, replace(config, seed=config.seed + i))
-        for i, (ids, _) in enumerate(read) if ids is not None
-    ]
+    tasks = [(ids, replace(config, seed=config.seed + i))
+             for i, (ids, _) in enumerate(read) if ids is not None]
     if workers <= 1 or len(tasks) <= 1:
-        decoded = iter([_decode_task(task) for task in tasks])
+        decoded = iter([_decode_one(model, *task) for task in tasks])
     else:
+        # imported here: a run that never fans out never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(model,)) as pool:
             chunksize = max(1, len(tasks) // (workers * 4))
             decoded = iter(list(pool.map(_decode_task, tasks, chunksize=chunksize)))
     results: list[DecodeResult | None] = []

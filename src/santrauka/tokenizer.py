@@ -14,7 +14,6 @@ the reserved surface forms ``<eos>``, ``<unk>``, ``<pad>``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -243,6 +242,8 @@ class Vocabulary:
 
     def content_hash(self) -> str:
         """Stable hex digest of tokens, scores, and special assignments."""
+        import hashlib  # here, so a run that never saves or loads a model skips OpenSSL
+
         blob = json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

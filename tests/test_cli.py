@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -483,12 +484,21 @@ class TestPromptHeads:
     @given(case=_vocab_and_texts())
     def test_prompts_and_errors_equal_cutting_whole_segmentations(self, case):
         """Whether ``_decode`` segments a text's head or all of it, its
-        prompts and errors are those of segmenting everything, then cutting."""
+        prompts and errors are those of segmenting everything a prompt may
+        read, then cutting."""
         vocab, texts, limit = case
         expected_prompts, expected_errors = [], {}
         for i, text in enumerate(texts):
             try:
-                expected_prompts.append(viterbi_segment(text, vocab).ids[:limit])
+                try:
+                    ids = viterbi_segment(text, vocab).ids
+                except ValueError:
+                    if vocab.max_token_len > 1:
+                        raise
+                    # a prompt reads no character past a one-character
+                    # vocabulary's limit: only an uncovered head fails
+                    ids = viterbi_segment(text[:limit], vocab).ids
+                expected_prompts.append(ids[:limit])
             except ValueError as err:
                 expected_errors[i] = f"ValueError: {err}"
         seen = []
@@ -948,6 +958,24 @@ class TestPipelineCommand:
         assert payload["decoded"] == 0
         assert payload["evaluation"] is None
 
+    def test_a_head_covered_body_decodes_without_unk(self, tmp_path):
+        # each body's 64-character head holds only summary letters and its
+        # tail only body letters, which the vocabulary lacks: the prompt
+        # never reads the tail, so no body fails
+        articles = synthetic_articles(30, seed=2)
+        for article in articles:
+            article["body"] = "kk gg " * 12 + article["body"]
+        input_path = write_jsonl(tmp_path / "corpus.jsonl", articles)
+        report_path = tmp_path / "report.json"
+        code = main(["pipeline", "--input", input_path, "--output", str(report_path),
+                     "--n-validation", "5", "--ngram-order", "2", "--max-length", "20",
+                     "--vocab", str(summary_vocab_file(tmp_path))])
+        assert code == 0
+        payload = json.loads(report_path.read_text(encoding="utf-8"))
+        assert payload["filter_report"]["kept"] == 30
+        assert payload["validation_count"] == payload["decoded"] == 5
+        assert payload["decode_errors"] == 0
+
     def test_all_validation_is_a_data_error(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "corpus.jsonl", synthetic_articles(6))
         report_path = tmp_path / "report.json"
@@ -1082,6 +1110,23 @@ class TestTamperedModel:
         assert not output_path.exists()
 
 
+class TestStartup:
+    def test_importing_loads_no_pool_and_no_hashlib(self):
+        # a run that decodes in one process, or hashes no vocabulary, never
+        # uses these; compared against what numpy itself already loaded
+        program = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+                   "import numpy\nbefore = set(sys.modules)\n"
+                   "import santrauka, santrauka.cli, santrauka.metrics\n"
+                   "print(sorted(set(sys.modules) - before))")
+        done = subprocess.run([sys.executable, "-I", "-c", program], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        loaded = set(ast.literal_eval(done.stdout))
+        assert "santrauka.cli" in loaded
+        assert not loaded & {"concurrent.futures.process", "multiprocessing", "hashlib",
+                             "_hashlib"}
+
+
 def _crash_worker(task):
     """Stands in for the decode task and kills the worker process."""
     os._exit(1)
@@ -1099,3 +1144,14 @@ class TestWorkerCrash:
         assert code == 1
         assert "error: worker:" in capsys.readouterr().err
         assert not output_path.exists()
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), NotImplementedError("boom")])
+    def test_other_runtime_errors_are_not_worker_errors(self, monkeypatch, error):
+        import concurrent.futures.process  # noqa: F401 - a pool may exist, so run() looks
+
+        def handler(config):
+            raise error
+
+        monkeypatch.setitem(cli._COMMANDS, "stats", (handler, "help"))
+        with pytest.raises(type(error), match="boom"):
+            run(RunConfig("stats", input="i"))

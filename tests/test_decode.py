@@ -1,7 +1,11 @@
+import concurrent.futures
 import json
 import math
+import subprocess
 import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from santrauka.decode import (
 from santrauka.fixtures import greedy_trap_model
 from santrauka.lm import TableModel, train_ngram
 from santrauka.tokenizer import TokenSequence, Vocabulary
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_ngram_model(rng, real_tokens=3, order=2, alpha=1.0, sequences=4):
@@ -426,10 +432,12 @@ class TestBatchDecode:
         started = []
 
         class InProcessPool:
-            """Records the pool size asked for and maps in this process."""
+            """Records the pool size asked for, starts its one worker in this
+            process and maps there."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -440,14 +448,43 @@ class TestBatchDecode:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(sys.modules["santrauka.decode"], "ProcessPoolExecutor",
-                            InProcessPool)
+        # batch_decode imports the pool where it fans out, so patch its source;
+        # the worker's model is restored with it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(sys.modules["santrauka.decode"], "_WORKER_MODEL", None)
         model = greedy_trap_model()
         config = DecodeConfig(method="sample", seed=9, max_length=6)
         results = batch_decode(model, [()] * count, config, workers=workers)
         assert started == pools
         assert results == [sample_decode(model, (), replace(config, seed=9 + i))
                            for i in range(count)]
+
+    def test_spawned_workers_get_the_model_at_their_start(self):
+        # under spawn nothing is inherited: the model reaches each worker
+        # only through the pool's initializer arguments
+        program = textwrap.dedent(f"""
+            import multiprocessing, sys
+            sys.path.insert(0, {str(SRC)!r})
+            from santrauka.decode import DecodeConfig, batch_decode
+            from santrauka.lm import train_ngram
+            from santrauka.tokenizer import char_vocabulary, viterbi_segment
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                texts = ["kalba diena", "miela balta diena", "gale kalba"]
+                vocab = char_vocabulary(texts)
+                model = train_ngram([viterbi_segment(t, vocab) for t in texts], 3, 0.5)
+                prompts = [viterbi_segment(t[:i], vocab) for t in texts for i in (1, 3)]
+                config = DecodeConfig(method="sample", seed=4, top_k=3, max_length=12)
+                serial = batch_decode(model, prompts, config)
+                parallel = batch_decode(model, prompts, config, workers=2)
+                assert None not in serial and parallel == serial, (serial, parallel)
+                print("equal")
+        """)
+        done = subprocess.run([sys.executable, "-I", "-c", program], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "equal\n"
 
 
 class TestPromptIds:

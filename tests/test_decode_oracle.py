@@ -466,6 +466,20 @@ def test_unseen_context_stores_nothing_and_raises_again():
     assert "UnseenContextError" in errors[0][1]
 
 
+def test_a_failed_prompt_changes_no_later_one_in_a_worker():
+    # a worker keeps its memo across the chunks it decodes, so a prompt
+    # that fails must leave the prompts after it as serial decoding has them
+    model = train_ngram([TokenSequence((0, 0), make_vocab(2))], 2, 0.0)
+    config = replace(GREEDY_BAN_2, no_repeat_ngram_size=None)
+    prompts = [(0,), (1,), (0,)] * 4
+    serial_errors, parallel_errors = [], []
+    serial = batch_decode(model, prompts, config, errors=serial_errors)
+    parallel = batch_decode(model, prompts, config, workers=2, errors=parallel_errors)
+    assert parallel == serial
+    assert parallel_errors == serial_errors
+    assert [i for i, _ in serial_errors] == [1, 4, 7, 10]
+
+
 def large_vocabulary_records(config):
     """The records one decode of a bigram model over 4,001 ids leaves."""
     vocab = make_vocab(4000)
