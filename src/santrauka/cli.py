@@ -41,7 +41,7 @@ from santrauka.corpus import (
 from santrauka.decode import METHODS, DecodeConfig, batch_decode
 from santrauka.lm import NGramModel, _check_order_alpha, train_ngram
 from santrauka.metrics import aggregate, evaluate_pair, render_table, stem_normalize
-from santrauka.tokenizer import Vocabulary, char_vocabulary, viterbi_segment
+from santrauka.tokenizer import Vocabulary, _CharCorpus, viterbi_segment
 
 __all__ = ["RunConfig", "main", "parse_args", "render_args", "run"]
 
@@ -368,9 +368,15 @@ def _cmd_split(config: RunConfig) -> int:
 
 
 def _train_model(config: RunConfig, texts: list[str]) -> NGramModel:
-    vocab = Vocabulary.load(config.vocab) if config.vocab else char_vocabulary(texts)
-    streams = [viterbi_segment(text, vocab) for text in texts]
-    return train_ngram(streams, config.ngram_order, config.alpha, vocab)
+    """The model of the segmented texts; without --vocab, of the texts with
+    the character vocabulary built from them, which train_ngram counts as
+    arrays without segmenting."""
+    if config.vocab:
+        vocab = Vocabulary.load(config.vocab)
+        streams = [viterbi_segment(text, vocab) for text in texts]
+    else:
+        streams = _CharCorpus(texts)
+    return train_ngram(streams, config.ngram_order, config.alpha)
 
 
 def _cmd_train_lm(config: RunConfig) -> int:

@@ -105,26 +105,28 @@ class IngestError:
 def _parse_date(text: str) -> date:
     """The date of a ``YYYY-MM-DD`` string of ASCII digits; nothing else.
 
-    ``date.fromisoformat`` is not used: from Python 3.11 on it also takes
-    ``20200101`` and week dates such as ``2020-W01-1``, which 3.10 refuses.
+    The format is checked first, because from Python 3.11 on
+    ``date.fromisoformat`` also takes ``20200101`` and week dates such as
+    ``2020-W01-1``, which 3.10 refuses. On a string that passes the check
+    every version from 3.10 on reads the same three numbers and builds the
+    date as ``date(year, month, day)`` does, with the same range errors.
     """
     digits = text[:4] + text[5:7] + text[8:]
     if not (len(text) == 10 and text[4] == text[7] == "-"
             and digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad published_at: expected YYYY-MM-DD, got {text!r}")
     try:
-        return date(int(text[:4]), int(text[5:7]), int(text[8:]))
+        return date.fromisoformat(text)
     except ValueError as err:
         raise ValueError(f"bad published_at: {err}") from None
 
 
 def _article_from_record(record: dict) -> Article:
-    unknown = set(record) - ARTICLE_KEYS
-    if unknown:
-        raise ValueError(f"unknown keys: {sorted(unknown)}")
-    missing = REQUIRED_KEYS - set(record)
-    if missing:
-        raise ValueError(f"missing keys: {sorted(missing)}")
+    keys = record.keys()
+    if not keys <= ARTICLE_KEYS:
+        raise ValueError(f"unknown keys: {sorted(keys - ARTICLE_KEYS)}")
+    if not REQUIRED_KEYS <= keys:
+        raise ValueError(f"missing keys: {sorted(REQUIRED_KEYS - keys)}")
     for key in ("source", "summary", "body"):
         if not isinstance(record[key], str):
             raise ValueError(f"key {key!r} must be a string")
@@ -162,6 +164,10 @@ def read_jsonl(
     ``required`` keys gives a None record and an error; reading goes on.
     An unreadable file raises the underlying OSError.
     """
+    # the decoder json.loads uses, without its per-call argument checks; a
+    # line it refuses goes through json.loads for the message, since only
+    # json.loads names a leading byte-order mark
+    decode = json.JSONDecoder().decode
     # undecodable bytes become lone surrogates, which never re-encode, so
     # a bad byte fails its own line and leaves the newlines where they were
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -171,15 +177,18 @@ def read_jsonl(
                 continue
             try:
                 line.encode("utf-8")
-                record = json.loads(line)
+                record = decode(line)
             except UnicodeEncodeError:
                 yield line_no, None, "invalid UTF-8"
                 continue
-            except (ValueError, RecursionError) as err:
-                # besides syntax errors: nesting past the recursion limit
-                # and integers past the int-string digit limit
-                yield line_no, None, f"invalid JSON: {err}"
-                continue
+            except (ValueError, RecursionError):
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as err:
+                    # besides syntax errors: nesting past the recursion
+                    # limit and integers past the int-string digit limit
+                    yield line_no, None, f"invalid JSON: {err}"
+                    continue
             if not isinstance(record, dict):
                 yield line_no, None, "line is not a JSON object"
                 continue

@@ -569,9 +569,13 @@ def _start_worker(model: LanguageModel) -> None:
     _WORKER_MODEL = model
 
 
-def _decode_task(task) -> tuple[DecodeResult | None, str | None]:
-    """A worker's decode of one ``(prompt ids, seeded config)`` task."""
-    return _decode_one(_WORKER_MODEL, *task)
+def _decode_task(task) -> tuple[tuple | None, str | None]:
+    """A worker's decode of one ``(prompt ids, seeded config)`` task: the
+    result's ``(ids, text, score, steps)``, so no vocabulary is sent back."""
+    result, message = _decode_one(_WORKER_MODEL, *task)
+    if result is None:
+        return None, message
+    return (result.tokens.ids, result.text, result.score, result.steps), None
 
 
 def batch_decode(
@@ -592,8 +596,10 @@ def batch_decode(
     unaffected. Each worker gets the model once, when it starts (pickled
     under ``spawn``, inherited under ``fork``), and keeps its memo across
     the chunks it decodes; a task is only a prompt's ids and its seeded
-    config. Chunks are about a quarter of a worker's share, so no worker
-    is left with a long tail.
+    config, and a worker sends back only each result's ids, text, score and
+    steps, whose sequence is rebuilt here on ``model.vocab``. Chunks are
+    about a quarter of a worker's share, so no worker is left with a long
+    tail.
     """
     # each prompt is read to a plain id tuple here, inside its own
     # isolation, so a worker receives ints and never an iterator or a
@@ -611,7 +617,13 @@ def batch_decode(
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(model,)) as pool:
             chunksize = max(1, len(tasks) // (workers * 4))
-            decoded = iter(list(pool.map(_decode_task, tasks, chunksize=chunksize)))
+            returned = list(pool.map(_decode_task, tasks, chunksize=chunksize))
+        vocab = model.vocab
+        decoded = iter([
+            (None if values is None else
+             DecodeResult(TokenSequence._issued(values[0], vocab), *values[1:]), message)
+            for values, message in returned
+        ])
     results: list[DecodeResult | None] = []
     for i, (ids, message) in enumerate(read):
         result, message = (None, message) if ids is None else next(decoded)

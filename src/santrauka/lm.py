@@ -13,6 +13,11 @@ natural log, including the terminal eos event of every sequence.
 Training counts its windows in numpy, a few thousand ids at a time: each
 window is coded as one integer and the codes are grouped by a stable
 sort, so the counts, and their order, are those of a per-token loop.
+``train-lm`` and ``pipeline`` without ``--vocab`` train on texts with the
+character vocabulary built from them, and those texts are not segmented:
+the tokenizer maps their code points to ids with one ``np.searchsorted``
+and lays them out with their pads in arrays of whole texts, which the
+same window counter counts.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from santrauka._checks import count, real
-from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
+from santrauka.tokenizer import TokenSequence, Vocabulary, _CharCorpus, token_ids
 
 __all__ = [
     "BEGIN",
@@ -318,9 +323,33 @@ def train_ngram(
     end, joins one flat id list, whose ``order``-wide windows are counted
     by :func:`_count_windows` every ``_CHUNK`` ids; the windows are then
     grouped by context, both in first-occurrence order.
+
+    Texts with the character vocabulary built from them (the tokenizer's
+    ``_CharCorpus``) are not segmented: the tokenizer lays their ids out,
+    padded the same way, in arrays of whole texts about ``_CHUNK`` long,
+    and those are counted. The model is the one their segmented streams
+    give.
     """
     order = _check_order_alpha(order, alpha)
     windows: dict[tuple[int, ...], int] = {}
+    if isinstance(streams, _CharCorpus):
+        if vocab is not None and vocab != streams.vocab:
+            raise ValueError("streams mix different vocabularies")
+        vocab = streams.vocab
+        for ids in streams.id_groups(BEGIN, order - 1, _CHUNK):
+            _count_windows(ids, order, len(vocab), windows)
+    else:
+        vocab = _count_streams(streams, order, vocab, windows)
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for window, count in windows.items():
+        counts.setdefault(window[:-1], {})[window[-1]] = count
+    return NGramModel(vocab, order, alpha, counts)
+
+
+def _count_streams(streams: Iterable, order: int, vocab: Vocabulary | None,
+                   windows: dict) -> Vocabulary:
+    """Count the windows of :func:`train_ngram`'s token streams into
+    ``windows``; the streams' vocabulary."""
     carry = order - 1
     begin = (BEGIN,) * carry
     buffer: list[int] = []
@@ -346,29 +375,28 @@ def train_ngram(
         start = 0
         # a chunk's last windows begin in the order - 1 ids after it
         while len(buffer) - start >= _CHUNK + carry:
-            _count_windows(buffer[start : start + _CHUNK + carry], order, len(vocab), windows)
+            chunk = np.fromiter(buffer[start : start + _CHUNK + carry], np.int64,
+                                _CHUNK + carry)
+            _count_windows(chunk, order, len(vocab), windows)
             start += _CHUNK
         del buffer[:start]
     if not seen_any:
         raise ValueError("cannot train on an empty corpus")
     if len(buffer) > carry:
-        _count_windows(buffer, order, len(vocab), windows)
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for window, count in windows.items():
-        counts.setdefault(window[:-1], {})[window[-1]] = count
-    return NGramModel(vocab, order, alpha, counts)
+        _count_windows(np.fromiter(buffer, np.int64, len(buffer)), order, len(vocab), windows)
+    return vocab
 
 
-def _count_windows(buffer: list[int], order: int, size: int, windows: dict) -> None:
-    """Add each ``order``-wide window of ``buffer`` (ids in ``[0, size)`` or
-    BEGIN) that ends on an id, not a begin pad, to ``windows``, new windows
-    in first-occurrence order.
+def _count_windows(ids: np.ndarray, order: int, size: int, windows: dict) -> None:
+    """Add each ``order``-wide window of the int64 array ``ids`` (ids in
+    ``[0, size)`` or BEGIN) that ends on an id, not a begin pad, to
+    ``windows``, new windows in first-occurrence order.
 
     A window's code is its ids shifted by one (BEGIN is 0), read in base
     ``size + 1``. Where the next digit could overflow int64, the partial
     codes are first replaced by their ranks.
     """
-    ids = np.fromiter(buffer, np.int64, len(buffer)) + 1
+    ids = ids + 1
     n = len(ids) - order + 1
     base = size + 1
     code, top = ids[:n], size

@@ -442,9 +442,8 @@ def char_vocabulary(
     itself.
     """
     counts: Counter[str] = Counter()
-    for blob in _joined(texts, _CHARS):
-        points = np.frombuffer(blob.encode("utf-32-le", "surrogatepass"), np.uint32)
-        points, tallies = np.unique(points, return_counts=True)
+    for batch in _batches(texts, _CHARS):
+        points, tallies = np.unique(_code_points(batch), return_counts=True)
         counts.update(dict(zip(map(chr, points.tolist()), tallies.tolist())))
     if not counts:
         raise ValueError("cannot build a vocabulary from empty text")
@@ -455,14 +454,53 @@ def char_vocabulary(
     return Vocabulary(tokens, log_probs, eos=eos_token, unk=unk_token)
 
 
-def _joined(texts: Iterable[str], least: int):
-    """The texts joined in order, each join at least ``least`` characters
-    long but the last."""
-    chunk, size = [], 0
+class _CharCorpus:
+    """Texts with the :func:`char_vocabulary` built from them, which
+    ``lm.train_ngram`` counts as arrays without segmenting a text.
+
+    Every character of the texts is covered, so segmenting a text maps
+    each character to its own token, and that token's id is 2 (after eos
+    and unk) plus the rank of its code point among the vocabulary's.
+    """
+
+    def __init__(self, texts: Iterable[str]):
+        self.texts = list(texts)  # read twice: for the vocabulary, then the ids
+        self.vocab = char_vocabulary(self.texts)
+
+    def id_groups(self, pad: int, carry: int, least: int):
+        """Each text as ``carry`` pads, its ids, then eos, laid out in int64
+        arrays that hold whole texts, at least ``least`` characters of text
+        each but the last: the ids of :func:`viterbi_segment`, group by group.
+        """
+        vocab = self.vocab
+        points = np.fromiter(map(ord, vocab.tokens[2:]), np.uint32, len(vocab) - 2)
+        marks = np.array([pad] * carry + [vocab.eos_id], np.int64)
+        for batch in _batches(self.texts, least):
+            ids = np.searchsorted(points, _code_points(batch)).astype(np.int64, copy=False) + 2
+            ends = np.cumsum(np.fromiter(map(len, batch), np.int64, len(batch)))
+            # a text's pads go in before its first id and its eos after its
+            # last; np.insert keeps equal positions in the order given, so
+            # an eos stays ahead of the next text's pads
+            at = np.empty((len(batch), carry + 1), np.int64)
+            at[:, :carry] = np.append(0, ends[:-1])[:, None]
+            at[:, carry] = ends
+            yield np.insert(ids, at.ravel(), np.tile(marks, len(batch)))
+
+
+def _code_points(texts: list[str]) -> np.ndarray:
+    """The code points of the texts joined, a lone surrogate as itself."""
+    return np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+
+
+def _batches(texts: Iterable[str], least: int):
+    """The texts in order, in lists of at least ``least`` characters each
+    but the last, which is not empty."""
+    batch, size = [], 0
     for text in texts:
-        chunk.append(text)
+        batch.append(text)
         size += len(text)
         if size >= least:
-            yield "".join(chunk)
-            chunk, size = [], 0
-    yield "".join(chunk)
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch

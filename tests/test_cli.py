@@ -29,8 +29,8 @@ from santrauka.cli import (
 )
 from santrauka.corpus import longest_common_substring_len
 from santrauka.decode import METHODS
-from santrauka.lm import NGramModel
-from santrauka.tokenizer import Vocabulary, viterbi_segment
+from santrauka.lm import NGramModel, train_ngram
+from santrauka.tokenizer import Vocabulary, char_vocabulary, viterbi_segment
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -712,6 +712,21 @@ class TestTrainAndDecodeCommands:
         assert model.order == 3
         assert len(model.vocab) > 2
 
+    def test_the_model_file_is_the_segmented_texts_model(self, tmp_path):
+        """Without --vocab the summaries are counted as arrays, unsegmented;
+        the file holds the bytes of segmenting them with the vocabulary
+        built from them and training on that."""
+        summaries = ["kalba diena", "ąčę \U0001F600 x\x00y", "a" * 50, "diena ž"]
+        records = [{"source": "x", "summary": text, "body": "b"} for text in summaries]
+        input_path = write_jsonl(tmp_path / "train.jsonl", records)
+        model_path = tmp_path / "model.json"
+        assert main(["train-lm", "--input", input_path, "--output", str(model_path),
+                     "--ngram-order", "4", "--alpha", "0.5"]) == 0
+        vocab = char_vocabulary(summaries)
+        oracle = train_ngram([viterbi_segment(t, vocab) for t in summaries], 4, 0.5, vocab)
+        expected = json.dumps(oracle.to_dict(), ensure_ascii=False)
+        assert model_path.read_text(encoding="utf-8") == expected
+
     def test_decode_results_are_deterministic(self, tmp_path):
         model_path = train_model_file(tmp_path)
         requests = [{"id": i, "prompt": "kalba diena"} for i in range(3)]
@@ -871,6 +886,20 @@ class TestEvaluateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["skipped"] == 1
         assert payload["summary"]["count"] == 2
+
+    def test_a_byte_order_mark_is_a_line_error(self, tmp_path, capsys):
+        # one reader serves ingest and request files, so the same message
+        input_path = tmp_path / "pairs.jsonl"
+        input_path.write_bytes(
+            b'\xef\xbb\xbf{"id": 1, "candidate": "a b", "reference": "a c"}\n'
+            b'{"id": 2, "candidate": "a", "reference": "a"}\n'
+        )
+        output_path = tmp_path / "scores.jsonl"
+        assert main(["evaluate", "--input", str(input_path), "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == {"line": 1, "error": "invalid JSON: Unexpected UTF-8 BOM (decode "
+                            "using utf-8-sig): line 1 column 1 (char 0)"}
+        assert [l["id"] for l in lines[1:]] == [2]
 
     def test_non_string_candidate_is_a_line_error(self, tmp_path, capsys):
         pairs = [{"id": 1, "candidate": None, "reference": "None"},

@@ -303,6 +303,11 @@ _fuzzed_lines = st.one_of(
 )
 
 
+#: The message of a line that begins with a UTF-8 byte-order mark.
+BOM_ERROR = ("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+             "line 1 column 1 (char 0)")
+
+
 class TestIngest(object):
     def write_lines(self, tmp_path, lines):
         path = tmp_path / "articles.jsonl"
@@ -372,6 +377,7 @@ class TestIngest(object):
             ("\u0662020-01-01", "bad published_at: expected YYYY-MM-DD, got '\u0662020-01-01'"),
             ("2020-02-30", "bad published_at: day is out of range for month"),
             ("0000-01-01", "bad published_at: year 0 is out of range"),
+            ("2020-13-01", "bad published_at: month must be in 1..12"),
         ],
     )
     def test_date_other_than_yyyy_mm_dd_is_a_line_error(self, tmp_path, published_at, message):
@@ -383,6 +389,28 @@ class TestIngest(object):
         errors = []
         assert [a.source for a in ingest(path, errors)] == ["y"]
         assert errors == [IngestError(1, message)]
+
+    def test_key_errors_list_every_key(self, tmp_path):
+        path = self.write_lines(tmp_path, [
+            '{"source":"x","summary":"s","body":"b","zz":1,"aa":2,"url":"u","mm":3,"bb":4}',
+            '{"source":"x"}',
+            '{"zz":1,"body":"b"}',
+        ])
+        errors = []
+        assert list(ingest(path, errors)) == []
+        assert errors == [
+            IngestError(1, "unknown keys: ['aa', 'bb', 'mm', 'zz']"),
+            IngestError(2, "missing keys: ['body', 'summary']"),
+            IngestError(3, "unknown keys: ['zz']"),
+        ]
+
+    def test_a_byte_order_mark_is_named(self, tmp_path):
+        path = tmp_path / "articles.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"source":"x","summary":"s","body":"b"}\n'
+                         b'{"source":"y","summary":"s","body":"b"}\n')
+        errors = []
+        assert [a.source for a in ingest(path, errors)] == ["y"]
+        assert errors == [IngestError(1, BOM_ERROR)]
 
     @pytest.mark.parametrize("field, value, message", [
         ("body", " \t", "empty body"),

@@ -478,6 +478,9 @@ def test_a_failed_prompt_changes_no_later_one_in_a_worker():
     assert parallel == serial
     assert parallel_errors == serial_errors
     assert [i for i, _ in serial_errors] == [1, 4, 7, 10]
+    assert all(message.startswith("UnseenContextError: ") for _, message in parallel_errors)
+    # a worker sends back ids, not a copy of the vocabulary per chunk
+    assert all(result.tokens.vocab is model.vocab for result in parallel if result is not None)
 
 
 def large_vocabulary_records(config):

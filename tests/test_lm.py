@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from santrauka import lm
@@ -25,7 +25,14 @@ from santrauka.lm import (
     softmax,
     train_ngram,
 )
-from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
+from santrauka.tokenizer import (
+    TokenSequence,
+    Vocabulary,
+    _CharCorpus,
+    char_vocabulary,
+    token_ids,
+    viterbi_segment,
+)
 
 
 def ab_vocab():
@@ -63,6 +70,14 @@ def _vocab_streams(draw):
     vocab = draw(st.sampled_from([ab_vocab(), BIG_VOCAB]))
     ids = st.integers(0, 2) | st.integers(0, len(vocab) - 1)
     return vocab, draw(st.lists(st.lists(ids, max_size=9), min_size=1, max_size=5))
+
+
+#: Texts of a few characters: empty ones, astral characters, NUL and lone
+#: surrogates among them.
+_CHAR_TEXTS = st.text(
+    st.sampled_from("ab ą\x00\ud800\udfff\U0001F600\U0010FFFF") | st.characters(),
+    max_size=12,
+)
 
 
 def entropy(dist):
@@ -163,6 +178,44 @@ class TestTrainNgram:
         as_lists = lambda counts: [(ctx, list(b.items())) for ctx, b in counts.items()]
         assert as_lists(model.counts) == as_lists(loop_counts(streams, order, vocab))
 
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(_CHAR_TEXTS, min_size=1, max_size=6), order=st.integers(1, 5),
+           chunk=st.sampled_from([1, 2, 3, 4, 5, None]))
+    @example(texts=["", "a", ""], order=3, chunk=None)
+    @example(texts=["ab" * 2100, "", "\ud800\U0001F600\x00", "ą" * 4097], order=5, chunk=None)
+    def test_char_texts_train_their_segmented_model(self, texts, order, chunk):
+        """Texts counted as arrays with their own character vocabulary give
+        the model of their segmented streams: the vocabulary, the counts in
+        insertion order, contexts and tokens alike, and the payload, with
+        groups that end between texts and texts longer than a group."""
+        assume(any(texts))
+        vocab = char_vocabulary(texts)
+        oracle = train_ngram([viterbi_segment(t, vocab) for t in texts], order, 1.0, vocab)
+        with mock.patch.object(lm, "_CHUNK", chunk or lm._CHUNK):
+            model = train_ngram(_CharCorpus(texts), order, 1.0)
+        assert model.vocab == vocab
+        as_lists = lambda counts: [(ctx, list(b.items())) for ctx, b in counts.items()]
+        assert as_lists(model.counts) == as_lists(oracle.counts)
+
+        def payload(model):
+            try:
+                return model.to_dict()
+            except UnicodeEncodeError as err:  # a lone surrogate has no UTF-8 hash
+                return repr(err)
+
+        assert payload(model) == payload(oracle)
+
+    @pytest.mark.parametrize("texts", [[], [""], ["", ""]])
+    def test_char_texts_without_a_character_fail_as_their_vocabulary(self, texts):
+        with pytest.raises(ValueError, match="^cannot build a vocabulary from empty text$"):
+            train_ngram(_CharCorpus(texts), 3, 1.0)
+
+    def test_char_texts_take_no_other_vocabulary(self):
+        corpus = _CharCorpus(["ab"])
+        assert train_ngram(corpus, 2, 1.0, char_vocabulary(["ba"])).vocab == corpus.vocab
+        with pytest.raises(ValueError, match="vocabular"):
+            train_ngram(corpus, 2, 1.0, ab_vocab())
+
     @pytest.mark.parametrize("bad", [3, -1, -5, 2**70])  # V = 3
     def test_an_id_outside_the_vocabulary_is_named(self, bad):
         # -1 is BEGIN's value, and each would code like some valid window
@@ -186,6 +239,20 @@ class TestTrainNgram:
                 tracemalloc.stop()
 
         assert peak(1_000_000) <= 2 * peak(100_000)
+
+    def test_char_texts_are_counted_group_by_group(self):
+        """Ten times the characters need at most twice the peak: texts are
+        laid out and counted a group at a time, never all at once."""
+        def peak(n_texts):
+            corpus = _CharCorpus("abc"[i % 3:] * 33 for i in range(n_texts))
+            tracemalloc.start()
+            try:
+                train_ngram(corpus, 3, 1.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10_000) <= 2 * peak(1_000)
 
 
 class TestNextDistribution:
