@@ -79,8 +79,10 @@ class RunConfig:
     vocab: str | None = _option(None, "vocabulary file; default derives one from the data",
                                 type=str, commands=_TRAINING)
     seed: int = _option(0, "master seed for all randomness", commands=("split", *_DECODING))
-    workers: int = _option(1, "decode worker processes (default: 1); on 2 cores a second "
-                           "paid off from about 1,000 prompts", commands=_DECODING)
+    workers: int = _option(1, "decode worker processes (default: 1); prompts that end in "
+                           "the same model-visible ids share one search, and on 2 cores "
+                           "a second worker paid off from about 1,000 searches",
+                           commands=_DECODING)
     method: str = _option("beam", "decoding algorithm (default: beam)", choices=METHODS,
                           commands=(*_DECODING, "evaluate"))
     beam_size: int = _option(10, "hypotheses kept per step (default: 10)", commands=_DECODING)
@@ -204,8 +206,11 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     Flags and config-file keys the command does not read, type mismatches,
     mistyped config values, and every value RunConfig refuses (a range error
-    named by its flag) exit with a usage error (status 2).
+    named by its flag) exit with a usage error (status 2). A ``--`` before
+    the command name ends the top-level options, so it changes nothing.
     """
+    named = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv))
+    argv = [arg for arg in argv[:named] if arg != "--"] + list(argv[named:])
     parser, subparsers = _build_parser(argv)
     namespace, extra = parser.parse_known_args(argv)
     command, scope = namespace.command, _scope(namespace.command)

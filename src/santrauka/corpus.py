@@ -160,9 +160,11 @@ def read_jsonl(
     """Yield ``(line_no, record, error)`` for each non-blank line of a file.
 
     A line that is not UTF-8, that the JSON parser refuses (nesting past
-    the recursion limit included), that is not an object, or that lacks
-    ``required`` keys gives a None record and an error; reading goes on.
-    An unreadable file raises the underlying OSError.
+    the recursion limit included), that is not an object, that lacks
+    ``required`` keys, or whose string value holds a lone surrogate (an
+    escaped ``\\ud800``, which no UTF-8 output can hold) gives a None record
+    and an error; reading goes on. An unreadable file raises the underlying
+    OSError.
     """
     # the decoder json.loads uses, without its per-call argument checks; a
     # line it refuses goes through json.loads for the message, since only
@@ -196,7 +198,24 @@ def read_jsonl(
             if missing:
                 yield line_no, None, f"missing keys: {missing}"
                 continue
+            surrogate = _lone_surrogate(record)
+            if surrogate:
+                yield line_no, None, surrogate
+                continue
             yield line_no, record, None
+
+
+def _lone_surrogate(record: dict) -> str | None:
+    """The error of the first string value of ``record`` that holds a lone
+    surrogate, such as a JSON ``"\\ud800"`` decodes to: no UTF-8 output can
+    hold it. An ASCII string holds none, and ``str.isascii`` is O(1)."""
+    for key, value in record.items():
+        if isinstance(value, str) and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as err:
+                return f"key {key!r} holds lone surrogate {value[err.start]!r}"
+    return None
 
 
 def ingest(path, errors: list[IngestError] | None = None) -> Iterator[Article]:

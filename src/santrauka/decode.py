@@ -29,6 +29,16 @@ whose ``context_width`` is None reads the whole prefix, so its keys never
 repeat and it keeps no records. The n-gram ban reads the generated ids
 only, so n-grams of the prompt never ban a token.
 
+A search therefore sees its prompt only through the last
+``model.context_width`` ids, and through its last id, which ends it at
+once if it is eos. ``batch_decode`` keys each prompt by its last
+``max(context_width, 1)`` ids, or by the whole prompt when the width is
+None, and runs one search per key: greedy and beam search are
+deterministic, so every prompt of a key gets that search's result or
+error. A sampling search also reads its own seed, so each prompt keeps
+its own. Prompt ids are range-checked as a batch reads them, before
+keying, so a bad id fails its own prompt alone.
+
 Selection never sorts a step's candidates. Each row's successors come
 ranked most probable first, so their scores never rise along the row; a
 heap merges the rows and stops once ``width`` are live, so only the
@@ -456,6 +466,21 @@ def _select(
     return selected
 
 
+def _samples(config: DecodeConfig) -> bool:
+    """Whether the search draws from the seeded stream: only then does its
+    result depend on ``config.seed``."""
+    return config.method == "sample" or (config.method == "beam" and config.sample_within_beam)
+
+
+def _prompt_ids(prompt, size: int) -> tuple[int, ...]:
+    """The prompt's ids, each checked to lie in ``[0, size)``."""
+    prompt_ids = token_ids(prompt)
+    if prompt_ids and not (0 <= min(prompt_ids) and max(prompt_ids) < size):
+        bad = next(i for i in prompt_ids if not 0 <= i < size)
+        raise ValueError(f"prompt token id {bad} outside [0, {size})")
+    return prompt_ids
+
+
 def _search(
     model: LanguageModel, prompt, config: DecodeConfig
 ) -> tuple[DecodeResult, list[_Pair]]:
@@ -473,15 +498,11 @@ def _search(
     """
     beam = config.method == "beam"
     width = config.beam_size if beam else 1
-    sampling = config.method == "sample" or (beam and config.sample_within_beam)
+    sampling = _samples(config)
     rng = np.random.default_rng(config.seed) if sampling else None
     memo = _memo(model, config, width, sampling)
-    prompt_ids = token_ids(prompt)
     vocab = model.vocab
-    size = len(vocab)
-    if prompt_ids and not (0 <= min(prompt_ids) and max(prompt_ids) < size):
-        bad = next(i for i in prompt_ids if not 0 <= i < size)
-        raise ValueError(f"prompt token id {bad} outside [0, {size})")
+    prompt_ids = _prompt_ids(prompt, len(vocab))
     eos = vocab.eos_id
     # -0.0, so that a decode of probability 1 scores 0.0, not -0.0
     start = (-0.0, ())
@@ -546,9 +567,9 @@ def _failure(err: Exception) -> tuple[None, str]:
     return None, f"{type(err).__name__}: {err}"
 
 
-def _read_prompt(prompt) -> tuple[tuple[int, ...] | None, str | None]:
+def _read_prompt(prompt, size: int) -> tuple[tuple[int, ...] | None, str | None]:
     try:
-        return token_ids(prompt), None
+        return _prompt_ids(prompt, size), None
     except Exception as err:  # noqa: BLE001 - per-prompt fault isolation
         return _failure(err)
 
@@ -591,24 +612,47 @@ def batch_decode(
     corresponding independent calls. A failing prompt leaves None in its
     slot and, when ``errors`` is a list, records (index, message) there;
     the rest of the batch continues. A prompt whose ids cannot be read, or
-    fall outside the vocabulary, fails alone in the same way. ``workers``
-    > 1 fans out across at most one process per prompt; ordering is
-    unaffected. Each worker gets the model once, when it starts (pickled
-    under ``spawn``, inherited under ``fork``), and keeps its memo across
-    the chunks it decodes; a task is only a prompt's ids and its seeded
-    config, and a worker sends back only each result's ids, text, score and
-    steps, whose sequence is rebuilt here on ``model.vocab``. Chunks are
-    about a quarter of a worker's share, so no worker is left with a long
-    tail.
+    fall outside the vocabulary, fails alone in the same way.
+
+    Each distinct search runs once. Greedy and beam search are
+    deterministic and see a prompt only through its last
+    ``model.context_width`` ids (and its last id, to stop on eos), so
+    prompts that share their last ``max(context_width, 1)`` ids, or are
+    equal when ``context_width`` is None, share one search, and its result
+    or error message fills each of their slots. A sampling search reads its
+    own seed as well, so it never shares.
+
+    ``workers`` > 1 fans the distinct searches out across at most one
+    process each; ordering is unaffected. Each worker gets the model once,
+    when it starts (pickled under ``spawn``, inherited under ``fork``), and
+    keeps its memo across the chunks it decodes; a task is only a prompt's
+    ids and its seeded config, and a worker sends back only each result's
+    ids, text, score and steps, whose sequence is rebuilt here on
+    ``model.vocab``. Chunks are about a quarter of a worker's share, so no
+    worker is left with a long tail.
     """
-    # each prompt is read to a plain id tuple here, inside its own
-    # isolation, so a worker receives ints and never an iterator or a
-    # sequence's vocabulary
-    read = [_read_prompt(p) for p in prompts]
-    tasks = [(ids, replace(config, seed=config.seed + i))
-             for i, (ids, _) in enumerate(read) if ids is not None]
+    # each prompt is read to a plain, range-checked id tuple here, inside
+    # its own isolation, so a worker receives ints and never an iterator or
+    # a sequence's vocabulary, and a bad id never reaches a shared search
+    read = [_read_prompt(p, len(model.vocab)) for p in prompts]
+    tail = None if model.context_width is None else max(model.context_width, 1)
+    sampling = _samples(config)
+    # search key -> index of its task; each read prompt's task index
+    searches: dict[tuple, int] = {}
+    tasks, slots = [], []
+    for i, (ids, _) in enumerate(read):
+        if ids is None:
+            slots.append(None)
+            continue
+        key = ids if tail is None else ids[-tail:]
+        if sampling:
+            key = (key, i)  # its seed, config.seed + i, is its own
+        if key not in searches:
+            searches[key] = len(tasks)
+            tasks.append((ids, replace(config, seed=config.seed + i)))
+        slots.append(searches[key])
     if workers <= 1 or len(tasks) <= 1:
-        decoded = iter([_decode_one(model, *task) for task in tasks])
+        decoded = [_decode_one(model, *task) for task in tasks]
     else:
         # imported here: a run that never fans out never loads the pool
         from concurrent.futures import ProcessPoolExecutor
@@ -619,14 +663,14 @@ def batch_decode(
             chunksize = max(1, len(tasks) // (workers * 4))
             returned = list(pool.map(_decode_task, tasks, chunksize=chunksize))
         vocab = model.vocab
-        decoded = iter([
+        decoded = [
             (None if values is None else
              DecodeResult(TokenSequence._issued(values[0], vocab), *values[1:]), message)
             for values, message in returned
-        ])
+        ]
     results: list[DecodeResult | None] = []
-    for i, (ids, message) in enumerate(read):
-        result, message = (None, message) if ids is None else next(decoded)
+    for i, ((_, message), task) in enumerate(zip(read, slots)):
+        result, message = (None, message) if task is None else decoded[task]
         results.append(result)
         if message is not None and errors is not None:
             errors.append((i, message))

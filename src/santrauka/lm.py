@@ -27,6 +27,7 @@ import math
 import operator
 import sys
 from abc import ABC, abstractmethod
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -163,31 +164,27 @@ class NGramModel(LanguageModel):
         self._vocab = vocab
         self._order = order
         self._alpha = float(alpha)
-        self._counts = {}
-        self._totals = {}
-        #: context -> (token ids, counts) as arrays, for filling a row
-        self._rows = {}
         size = len(vocab)
-        for ctx, bucket in counts.items():
-            if len(ctx) != order - 1:
-                raise ValueError(
-                    f"context {ctx}: width {len(ctx)}, expected order - 1 = {order - 1}"
-                )
-            if any(x != BEGIN and not 0 <= x < size for x in ctx):
-                raise ValueError(f"context {ctx}: ids must be BEGIN or in [0, {size})")
-            try:
-                tokens = np.fromiter(bucket.keys(), dtype=np.intp, count=len(bucket))
-                in_range = not tokens.size or 0 <= tokens.min() and tokens.max() < size
-            except OverflowError:
-                in_range = False
-            if not in_range:
-                raise ValueError(f"context {ctx}: token ids must lie in [0, {size})")
-            values = np.fromiter(bucket.values(), dtype=float, count=len(bucket))
-            if (values < 0).any():
-                raise ValueError(f"context {ctx}: negative count")
-            self._counts[ctx] = dict(bucket)
-            self._totals[ctx] = sum(bucket.values())
-            self._rows[ctx] = (tokens, values)
+        # one pass checks every bucket; only a fault sends them through
+        # _check_bucket one by one, which raises the first bucket's error
+        try:
+            tokens = np.fromiter(chain.from_iterable(counts.values()), np.intp)
+            values = np.fromiter(chain.from_iterable(b.values() for b in counts.values()), float)
+            sound = (all(len(ctx) == order - 1 for ctx in counts)
+                     and all(x == BEGIN or 0 <= x < size for x in set(chain.from_iterable(counts)))
+                     and not (tokens.size and (tokens.min() < 0 or tokens.max() >= size))
+                     and not (values < 0).any())
+        except Exception:  # noqa: BLE001 - _check_bucket raises it again, in bucket order
+            sound = False
+        if not sound:
+            for ctx, bucket in counts.items():
+                _check_bucket(ctx, bucket, order, size)
+        self._counts = {ctx: dict(bucket) for ctx, bucket in counts.items()}
+        self._totals = {ctx: sum(bucket.values()) for ctx, bucket in self._counts.items()}
+        #: context -> (token ids, counts) as arrays, for filling a row
+        ends = accumulate(map(len, self._counts.values()))
+        self._rows = {ctx: (tokens[end - len(bucket) : end], values[end - len(bucket) : end])
+                      for (ctx, bucket), end in zip(self._counts.items(), ends)}
 
     @property
     def vocab(self) -> Vocabulary:
@@ -308,6 +305,24 @@ class NGramModel(LanguageModel):
 _CHUNK = 4096
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def _check_bucket(ctx, bucket: dict, order: int, size: int) -> None:
+    """Raise ValueError naming ``ctx`` if its bucket cannot be counts of an
+    ``order``-gram model over ``size`` ids."""
+    if len(ctx) != order - 1:
+        raise ValueError(f"context {ctx}: width {len(ctx)}, expected order - 1 = {order - 1}")
+    if any(x != BEGIN and not 0 <= x < size for x in ctx):
+        raise ValueError(f"context {ctx}: ids must be BEGIN or in [0, {size})")
+    try:
+        tokens = np.fromiter(bucket.keys(), dtype=np.intp, count=len(bucket))
+        in_range = not tokens.size or 0 <= tokens.min() and tokens.max() < size
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"context {ctx}: token ids must lie in [0, {size})")
+    if (np.fromiter(bucket.values(), dtype=float, count=len(bucket)) < 0).any():
+        raise ValueError(f"context {ctx}: negative count")
 
 
 def train_ngram(

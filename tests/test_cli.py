@@ -190,6 +190,18 @@ class TestParseArgs:
         assert decode_config.beam_size == 10
         assert decode_config.no_repeat_ngram_size == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--", "decode", "--input", "i", "--output", "o", "--model", "m", "--top-k", "3"],
+        ["--", "--", "decode", "--input", "i", "--output", "o", "--model", "m", "--top-k", "3"],
+    ])
+    def test_a_double_dash_before_the_command_changes_nothing(self, argv):
+        assert parse_args(argv) == parse_args([arg for arg in argv if arg != "--"])
+
+    @pytest.mark.parametrize("flag", ["--input", "--output", "--model"])
+    def test_a_double_dash_flag_value_is_kept(self, flag):
+        argv = ["decode", "--input", "i", "--output", "o", "--model", "m", f"{flag}=--"]
+        assert getattr(parse_args(argv), flag[2:]) == "--"
+
     def test_top_p_one_allowed(self):
         config = parse_args(
             ["decode", "--input", "i", "--output", "o", "--model", "m", "--top-p", "1.0"]
@@ -593,6 +605,25 @@ class TestFilterCommand:
         assert report["report"]["rejected_by_reason"]["summary_too_short"] == 1
         assert report["config"]["command"] == "filter"
 
+    @pytest.mark.parametrize("command", ["filter", "train-lm"])
+    @pytest.mark.parametrize("key", ["summary", "body", "source", "url"])
+    def test_a_lone_surrogate_fails_its_line_alone(self, tmp_path, capsys, command, key):
+        first, second = synthetic_articles(2)
+        first[key] += "\ud800"
+        input_path = tmp_path / "in.jsonl"
+        # json.dumps escapes the surrogate, as a JSON writer would
+        input_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n",
+                              encoding="utf-8")
+        output_path = tmp_path / "out.json"
+        assert main([command, "--input", str(input_path), "--output", str(output_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ingest_errors"] == 1
+        if command == "filter":
+            kept = output_path.read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line)["summary"] for line in kept] == [second["summary"]]
+        else:
+            assert report["sequences"] == 1
+
     def test_input_file_not_mutated(self, tmp_path):
         input_path = tmp_path / "in.jsonl"
         write_jsonl(input_path, synthetic_articles(3))
@@ -771,6 +802,20 @@ class TestTrainAndDecodeCommands:
         assert lines[0] == {"line": 2, "error": "invalid UTF-8"}
         assert [l["id"] for l in lines[1:]] == [1, 3]
 
+    def test_decode_lone_surrogate_line_is_a_line_error(self, tmp_path):
+        model_path = train_model_file(tmp_path)
+        input_path = tmp_path / "req.jsonl"
+        input_path.write_text('{"id": 1, "prompt": "kalba"}\n'
+                              '{"id": 2, "prompt": "ka\\ud800"}\n'
+                              '{"id": "\\udfff", "prompt": "diena"}\n', encoding="utf-8")
+        output_path = tmp_path / "res.jsonl"
+        assert main(["decode", "--input", str(input_path), "--model", str(model_path),
+                     "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[:2] == [{"line": 2, "error": "key 'prompt' holds lone surrogate '\\ud800'"},
+                             {"line": 3, "error": "key 'id' holds lone surrogate '\\udfff'"}]
+        assert [l["id"] for l in lines[2:]] == [1]
+
     def test_unsegmentable_prompt_fails_alone(self, tmp_path):
         model_path = train_model_file(tmp_path, vocab=summary_vocab_file(tmp_path))
         requests = [{"id": 1, "prompt": "kalba"}, {"id": 2, "prompt": "kalba ž"},
@@ -886,6 +931,18 @@ class TestEvaluateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["skipped"] == 1
         assert payload["summary"]["count"] == 2
+
+    def test_lone_surrogate_line_is_skipped(self, tmp_path, capsys):
+        input_path = tmp_path / "pairs.jsonl"
+        input_path.write_text('{"id": 1, "candidate": "a b", "reference": "a c"}\n'
+                              '{"id": 2, "candidate": "a", "reference": "\\udc80 a"}\n',
+                              encoding="utf-8")
+        output_path = tmp_path / "scores.jsonl"
+        assert main(["evaluate", "--input", str(input_path), "--output", str(output_path)]) == 0
+        lines = [json.loads(l) for l in output_path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == {"line": 2, "error": "key 'reference' holds lone surrogate '\\udc80'"}
+        assert [l["id"] for l in lines[1:]] == [1]
+        assert json.loads(capsys.readouterr().out)["skipped"] == 1
 
     def test_a_byte_order_mark_is_a_line_error(self, tmp_path, capsys):
         # one reader serves ingest and request files, so the same message
@@ -1164,7 +1221,9 @@ def _crash_worker(task):
 class TestWorkerCrash:
     def test_broken_pool_is_a_worker_error(self, tmp_path, capsys, monkeypatch):
         model_path = train_model_file(tmp_path)
-        requests = [{"id": i, "prompt": "kalba diena"} for i in range(4)]
+        # prompts of distinct last ids: prompts that share them share one
+        # search, and a batch of one search never starts a pool
+        requests = [{"id": i, "prompt": "kalba diena"[: 3 + 2 * i]} for i in range(4)]
         input_path = write_jsonl(tmp_path / "req.jsonl", requests)
         output_path = tmp_path / "res.jsonl"
         monkeypatch.setattr(sys.modules["santrauka.decode"], "_decode_task", _crash_worker)

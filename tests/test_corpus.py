@@ -458,6 +458,23 @@ class TestIngest(object):
             IngestError(5, "unknown keys: ['zz']"),
         ]
 
+    def test_a_lone_surrogate_is_a_line_error(self, tmp_path):
+        path = tmp_path / "articles.jsonl"
+        path.write_text(
+            '{"source":"x","summary":"s\\ud800","body":"b"}\n'
+            '{"source":"x","summary":"\\ud83d\\ude00 \\u0161","body":"b"}\n'
+            '{"source":"x","summary":"s","body":"b","url":"\\udfff"}\n',
+            encoding="utf-8",
+        )
+        errors = []
+        articles = list(ingest(path, errors))
+        # an escaped pair is one astral character, not two surrogates
+        assert [a.summary for a in articles] == ["\U0001f600 \u0161"]
+        assert errors == [
+            IngestError(1, "key 'summary' holds lone surrogate '\\ud800'"),
+            IngestError(3, "key 'url' holds lone surrogate '\\udfff'"),
+        ]
+
     def test_unparsable_lines_fail_alone(self, tmp_path):
         path = self.write_lines(
             tmp_path,

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import subprocess
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pools import in_process_pool
 from santrauka.cli import main
 from santrauka.decode import (
     DecodeConfig,
@@ -428,33 +428,11 @@ class TestBatchDecode:
     @pytest.mark.parametrize("workers, count, pools", [
         (5000, 2, [2]), (2, 6, [2]), (3, 1, []), (1, 6, []),
     ])
-    def test_at_most_one_worker_per_prompt(self, monkeypatch, workers, count, pools):
-        started = []
-
-        class InProcessPool:
-            """Records the pool size asked for, starts its one worker in this
-            process and maps there."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        # batch_decode imports the pool where it fans out, so patch its source;
-        # the worker's model is restored with it
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(sys.modules["santrauka.decode"], "_WORKER_MODEL", None)
+    def test_at_most_one_worker_per_prompt(self, workers, count, pools):
         model = greedy_trap_model()
         config = DecodeConfig(method="sample", seed=9, max_length=6)
-        results = batch_decode(model, [()] * count, config, workers=workers)
+        with in_process_pool() as started:
+            results = batch_decode(model, [()] * count, config, workers=workers)
         assert started == pools
         assert results == [sample_decode(model, (), replace(config, seed=9 + i))
                            for i in range(count)]

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decode_oracle as oracle
+from pools import in_process_pool
 from santrauka.decode import (
     DecodeConfig,
     batch_decode,
@@ -654,3 +655,100 @@ def test_sampling_record_draws_equal_the_full_row_oracle(logits, width, seed):
             assert tokens == (oracle._sample_index(row, oracle_rng),)
         assert logs == tuple(math.log(row[t]) for t in tokens)
         assert spy.rng.random() == oracle_rng.random()
+
+
+# --- batches: each distinct search runs once ---------------------------------
+
+
+def one_by_one(model, prompts, config):
+    """The results and errors of decoding each prompt alone, prompt i with
+    seed ``config.seed + i``: what a batch must equal."""
+    results, errors = [], []
+    for i, prompt in enumerate(prompts):
+        try:
+            results.append(decode(model, prompt, replace(config, seed=config.seed + i)))
+        except Exception as err:  # noqa: BLE001 - recorded as batch_decode records it
+            results.append(None)
+            errors.append((i, f"{type(err).__name__}: {err}"))
+    return results, errors
+
+
+# ids 0 and 1 lie in every model's vocabulary, 9 and -1 in none; with so few,
+# model-visible tails repeat within a batch
+batch_prompts = st.lists(st.lists(st.sampled_from([0, 1, 0, 1, 9, -1]), max_size=4).map(tuple),
+                         min_size=1, max_size=8)
+# a model that reads the whole prefix: only equal prompts may share a search
+whole_prefix_models = st.builds(CountingModel, models)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=models | whole_prefix_models, config=any_configs, prompts=batch_prompts,
+       workers=st.sampled_from([1, 2]))
+# unseen contexts fail at some tails and not at others
+@example(model=train_ngram([TokenSequence((0, 0), make_vocab(2))], 2, 0.0),
+         config=DecodeConfig(max_length=3), prompts=[(0,), (1,), (1, 0), (0, 1), (9, 1)],
+         workers=2)
+@example(model=CountingModel(TIED_TWO), config=DecodeConfig(method="beam", beam_size=2),
+         prompts=[(0, 1), (1, 1), (0, 1), (-1, 1)], workers=1)
+def test_a_batch_equals_its_prompts_decoded_one_by_one(model, config, prompts, workers):
+    expected, expected_errors = one_by_one(model, prompts, config)
+    errors = []
+    with in_process_pool():
+        assert batch_decode(model, prompts, config, workers=workers, errors=errors) == expected
+    assert errors == expected_errors
+
+
+class CountingSearches:
+    """Wraps the module's ``decode``, which batch_decode runs once per search."""
+
+    def __init__(self):
+        self.prompts = []
+        self.original = decode_module.decode
+
+    def __call__(self, model, prompt, config):
+        self.prompts.append(prompt)
+        return self.original(model, prompt, config)
+
+
+@pytest.mark.parametrize("order, searches", [
+    # the search keys of the prompts below: their last max(order - 1, 1) ids
+    (1, [(1,), ()]),
+    (2, [(1,), ()]),
+    (3, [(0, 1), (1, 1), (), (1,)]),
+    (4, [(0, 1), (1, 1), (2, 0, 1), (), (1,)]),
+])
+@pytest.mark.parametrize("config", [
+    DecodeConfig(method="greedy", max_length=4),
+    DecodeConfig(method="beam", beam_size=3, no_repeat_ngram_size=2, max_length=4),
+    DecodeConfig(method="sample", max_length=4, seed=7),
+    DecodeConfig(method="beam", beam_size=3, sample_within_beam=True, max_length=4, seed=7),
+])
+def test_one_search_per_distinct_key(order, searches, config):
+    model = random_ngram_model(2, 3, order, 0.3)
+    prompts = [(0, 1), (1, 1), (0, 1), (2, 0, 1), (), (1,)]
+    sampling = config.method == "sample" or config.sample_within_beam
+    # a sampling search reads its own seed, so it never shares
+    keys = prompts if sampling else searches
+    with in_process_pool() as pools:
+        for workers in (1, 5000):
+            counting = CountingSearches()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(decode_module, "decode", counting)
+                results = batch_decode(model, prompts, config, workers=workers)
+            assert results == one_by_one(model, prompts, config)[0]
+            assert [prompt[-len(key):] if key else prompt
+                    for prompt, key in zip(counting.prompts, keys)] == keys
+            assert len(counting.prompts) == len(keys)
+    # the pool is sized by the searches, not the prompts
+    assert pools == [len(keys)]
+
+
+def test_whole_prefix_models_share_only_equal_prompts():
+    model = CountingModel(random_table_model(3, 2))
+    prompts = [(0, 1), (1, 1), (0, 1), (1,), (1, 1)]
+    counting = CountingSearches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decode_module, "decode", counting)
+        results = batch_decode(model, prompts, DecodeConfig(method="greedy", max_length=4))
+    assert counting.prompts == [(0, 1), (1, 1), (1,)]
+    assert results == one_by_one(model, prompts, DecodeConfig(method="greedy", max_length=4))[0]

@@ -776,3 +776,41 @@ class TestModelValidation:
             NGramModel(vocab, 1, 1.0, {(): {2**70: 1}})
         with pytest.raises(ValueError, match="BEGIN"):
             NGramModel(vocab, 2, 1.0, {(-2,): {0: 1}})
+
+    #: context ids and token ids, bad ones among them, for vocabulary size 3
+    _IDS = st.sampled_from([0, 1, 2, BEGIN, 3, -2, 2**70, 1.5, "x", np.int64(2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(order=st.integers(1, 3), contexts=st.lists(st.lists(_IDS, max_size=3).map(tuple),
+                                                      max_size=4),
+           buckets=st.lists(st.dictionaries(_IDS, st.integers(-1, 4) | _IDS, max_size=3),
+                            min_size=4, max_size=4))
+    @example(order=2, contexts=[(0,), (1,)], buckets=[{0: 1}, {9: 1, 0: -1}, {}, {}])
+    @example(order=2, contexts=[(BEGIN,), (0,)], buckets=[{0: 3, 1: 1}, {2: 2, 1: 0, 0: 4}, {}, {}])
+    def test_one_pass_check_refuses_as_bucket_by_bucket(self, order, contexts, buckets):
+        """The constructor refuses counts with the first fault of the buckets
+        checked one by one, in order, and accepts them when none has one."""
+        counts = dict(zip(contexts, buckets))
+        try:
+            for ctx, bucket in counts.items():
+                lm._check_bucket(ctx, bucket, order, 3)
+        except Exception as err:  # noqa: BLE001 - any fault, compared below
+            with pytest.raises(type(err)) as raised:
+                NGramModel(ab_vocab(), order, 1.0, counts)
+            assert str(raised.value) == str(err)
+        else:
+            model = NGramModel(ab_vocab(), order, 1.0, counts)
+            assert model.counts == counts
+            # each bucket's arrays as converting that bucket alone makes them
+            for ctx, bucket in counts.items():
+                tokens, values = model._rows[ctx]
+                assert tokens.tolist() == np.fromiter(bucket, np.intp, len(bucket)).tolist()
+                assert values.tobytes() == np.fromiter(bucket.values(), float, len(bucket)).tobytes()
+                row = np.ones(3)
+                for token, value in bucket.items():
+                    row[token] += value
+                assert model._probs(ctx).tolist() == pytest.approx((row / row.sum()).tolist())
+
+    def test_a_bucket_that_is_no_mapping_is_refused(self):
+        with pytest.raises(AttributeError):
+            NGramModel(ab_vocab(), 2, 1.0, {(0,): {1: 1}, (1,): []})
