@@ -68,16 +68,19 @@ class RunConfig:
 
     Each field after ``command`` is the flag ``--field-name``. Its metadata
     holds the ``help``, the ``type`` where the default is None, any ``choices``,
-    ``zero_disables`` where a 0 is stored as None (off), and the ``commands``
-    that read it where not every command does.
+    ``zero_disables`` where a 0 is stored as None (off), ``path`` where it
+    names a file, and the ``commands`` that read it where not every command does.
     """
 
     command: str
-    input: str | None = _option(None, "input data file (line-delimited JSON)", type=str)
-    output: str | None = _option(None, "output path; split appends .train/.valid", type=str)
-    model: str | None = _option(None, "trained model file", type=str, commands=("decode",))
+    input: str | None = _option(None, "input data file (line-delimited JSON)", type=str,
+                                path=True)
+    output: str | None = _option(None, "output path; split appends .train/.valid", type=str,
+                                 path=True)
+    model: str | None = _option(None, "trained model file", type=str, path=True,
+                                commands=("decode",))
     vocab: str | None = _option(None, "vocabulary file; default derives one from the data",
-                                type=str, commands=_TRAINING)
+                                type=str, path=True, commands=_TRAINING)
     seed: int = _option(0, "master seed for all randomness", commands=("split", *_DECODING))
     workers: int = _option(1, "decode worker processes (default: 1); prompts that end in "
                            "the same model-visible ids share one search, and on 2 cores "
@@ -167,6 +170,16 @@ def _accepts(option: Field, value: object) -> bool:
     return isinstance(value, kind) or (kind is float and isinstance(value, int))
 
 
+def _holdable(path: str) -> bool:
+    """Whether a file name can be ``path``. JSON can escape a lone surrogate
+    or a NUL, which none can; a surrogateescape byte (U+DC80-U+DCFF), as
+    in argv, encodes to the byte it stands for."""
+    try:
+        return b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
+
+
 def _build_parser(
     argv: Sequence[str] = (),
 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -205,9 +218,10 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Parse argv into a fully resolved RunConfig.
 
     Flags and config-file keys the command does not read, type mismatches,
-    mistyped config values, and every value RunConfig refuses (a range error
-    named by its flag) exit with a usage error (status 2). A ``--`` before
-    the command name ends the top-level options, so it changes nothing.
+    mistyped config values, config paths no file name can be, and every
+    value RunConfig refuses (a range error named by its flag) exit with a
+    usage error (status 2). A ``--`` before the command name ends the
+    top-level options, so it changes nothing.
     """
     named = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv))
     argv = [arg for arg in argv[:named] if arg != "--"] + list(argv[named:])
@@ -237,6 +251,9 @@ def parse_args(argv: list[str]) -> RunConfig:
                     f"--config key {key!r} must be {_value_type(scope[key]).__name__}, "
                     f"got {json.dumps(value)}"
                 )
+            if scope[key].metadata.get("path") and value is not None and not _holdable(value):
+                parser.error(f"--config key {key!r} must be a path the file system can "
+                             f"hold, got {json.dumps(value)}")
         resolved.update(overrides)
 
     for name, option in scope.items():

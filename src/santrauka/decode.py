@@ -1,10 +1,8 @@
 """Sequence decoding over any language model: greedy, beam, and sampling.
 
-Every step starts from the model's logits and shapes them into the
-distribution the step actually uses, in a fixed composition order:
-temperature, then top-k, then top-p (sampling paths only), then the
-repeated-n-gram ban, renormalizing along the way. Greedy and plain beam
-search ignore the top-k/top-p filters.
+Every step turns the model's logits into the distribution it uses, and
+that into successors, by the rules of one ``_Shaping``, decided once per
+search from its ``DecodeConfig`` and vocabulary.
 
 Scores are raw cumulative log-probabilities of the selected tokens under
 each step's shaped distribution; no length normalization is applied.
@@ -16,28 +14,17 @@ through inverse-CDF lookup, so outputs are reproducible bit for bit.
 greedy and sampling keep one hypothesis, beam search keeps ``beam_size``.
 Each step keys every live hypothesis by its context (the last
 ``model.context_width`` ids of prompt plus generated ids), its banned ids
-and whether the ban stage has begun. The model is called only for keys not
-yet met with this model and shaping: one ``next_logits_batch`` call scores
-them, their rows are shaped together, each bit-identical to shaping that
-row alone, and each becomes a record. A greedy or beam record holds the
-row's ranked successors cut at the width, with their ``math.log``s and
-the eos successor split out; a sampling record, read by both draws,
-holds the row's positive ids with their probabilities and running sums.
-A model's records live in its memo, one per key met and shaping, until
-the model goes or the shaping holds ``_MEMO_CAP``. A model
-whose ``context_width`` is None reads the whole prefix, so its keys never
-repeat and it keeps no records. The n-gram ban reads the generated ids
-only, so n-grams of the prompt never ban a token.
+and whether the ban stage has begun. Only keys the model's memo lacks
+under the shaping's key are scored, by one ``next_logits_batch`` call, and
+shaped together into records, each bit-identical to shaping its row alone.
+They stay until the model goes or the shaping key holds ``_MEMO_CAP``. A
+model whose ``context_width`` is None reads the whole prefix, so its keys
+never repeat and it keeps no records.
 
 A search therefore sees its prompt only through the last
 ``model.context_width`` ids, and through its last id, which ends it at
-once if it is eos. ``batch_decode`` keys each prompt by its last
-``max(context_width, 1)`` ids, or by the whole prompt when the width is
-None, and runs one search per key: greedy and beam search are
-deterministic, so every prompt of a key gets that search's result or
-error. A sampling search also reads its own seed, so each prompt keeps
-its own. Prompt ids are range-checked as a batch reads them, before
-keying, so a bad id fails its own prompt alone.
+once if it is eos; ``batch_decode`` runs one search for all the prompts
+that no search could tell apart.
 
 Selection never sorts a step's candidates. Each row's successors come
 ranked most probable first, so their scores never rise along the row; a
@@ -61,7 +48,7 @@ import numpy as np
 
 from santrauka._checks import count, real
 from santrauka.lm import LanguageModel, softmax_rows
-from santrauka.tokenizer import TokenSequence, token_ids
+from santrauka.tokenizer import TokenSequence, Vocabulary, token_ids
 
 __all__ = [
     "DecodeConfig",
@@ -87,8 +74,8 @@ _Pair = tuple[float, tuple[int, ...]]
 #: with their ``math.log``s.
 _Successors = tuple[float | None, tuple[int, ...], tuple[float, ...]]
 
-#: model -> shaping -> (context, banned ids, ban stage begun) -> record; a
-#: model's records go with it, a shaping's when a step finds ``_MEMO_CAP`` there.
+#: model -> ``_Shaping.key`` -> (context, banned ids, ban stage begun) -> record;
+#: a model's records go with it, a key's when a step finds ``_MEMO_CAP`` there.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _MEMO_CAP = 512
 
@@ -125,6 +112,10 @@ class DecodeConfig:
             raise ValueError("temperature must be positive")
         if self.top_p is not None and not 0 < real("top_p", self.top_p) <= 1:
             raise ValueError("top_p must lie in (0, 1]")
+        if not isinstance(self.sample_within_beam, bool):
+            # a truthy string such as "no" would turn the beam stochastic
+            kind = type(self.sample_within_beam).__name__
+            raise TypeError(f"sample_within_beam must be a bool, not {kind}")
 
 
 @dataclass(frozen=True)
@@ -261,83 +252,32 @@ def _ban_rows(dist: np.ndarray, banned: list, eos_id: int) -> np.ndarray:
     return dist
 
 
-def _memo(model: LanguageModel, config: DecodeConfig, width: int, sampling: bool):
-    """The model's records under this search's shaping, or None for a model
-    whose logits read the whole prefix: its keys never repeat."""
-    if model.context_width is None:
-        return None
-    shaping = ((config.temperature, config.top_k, config.top_p)
-               if sampling else (config.temperature, width))
-    return _MEMO.setdefault(model, {}).setdefault(shaping, {})
-
-
-def _step(
-    model: LanguageModel,
-    prompt_ids: tuple[int, ...],
-    live: list[_Pair],
-    config: DecodeConfig,
-    width: int,
-    sampling: bool,
-    memo: dict | None,
-) -> list:
+def _step(model: LanguageModel, prompt_ids: tuple[int, ...], live: list[_Pair],
+          shaping: _Shaping, memo: dict | None) -> list:
     """The record of every live ``(neg, ids)`` pair, one each.
 
     A row's key is its context, the last ``model.context_width`` ids of
-    prompt plus ids, with its sorted banned ids and whether the ban stage
-    has begun. The memo is probed once per row; keys it lacks are scored
-    with one batched model call, shaped together and stored; every record
-    is bit-identical to shaping that hypothesis alone.
+    prompt plus ids, with the banned ids and ban stage ``shaping.keys``
+    adds. The memo is probed once per row; keys it lacks are scored with
+    one batched model call, shaped together and stored.
     """
-    n = config.no_repeat_ngram_size
     # live hypotheses share one length, so every context keeps one head of
     # the prompt before its ids, or, past the prompt, its ids from one cut
-    generated = len(live[0][1])
-    stage = n is not None and generated >= n
     w = model.context_width
-    start = 0 if w is None else len(prompt_ids) + generated - w
+    start = 0 if w is None else len(prompt_ids) + len(live[0][1]) - w
     head, cut = prompt_ids[max(start, 0):], max(start - len(prompt_ids), 0)
     contexts = [head + ids for _, ids in live] if head else [ids[cut:] for _, ids in live]
-    bans = [_banned(ids, n) for _, ids in live] if stage else [()] * len(live)
-    # fewer than two banned ids are already sorted and distinct
-    keys = [(context, tuple(b) if len(b) < 2 else tuple(sorted(set(b))), stage)
-            for context, b in zip(contexts, bans)]
+    keys = shaping.keys(contexts, live)
     records = {} if memo is None else memo
     if len(records) >= _MEMO_CAP:
         records.clear()  # records equal rows shaped afresh: no output changes
     found = list(map(records.get, keys))
     if None in found:  # records are tuples, never None
         missing = list(dict.fromkeys(k for k, record in zip(keys, found) if record is None))
-        records.update(zip(missing, _shape(model, missing, config, width, sampling)))
+        logits = model.next_logits_batch([context for context, _, _ in missing])
+        records.update(zip(missing, shaping.shape(logits, missing)))
         found = [records[key] for key in keys]
     return found
-
-
-def _shape(
-    model: LanguageModel, keys: list, config: DecodeConfig, width: int, sampling: bool
-) -> list:
-    """The records of ``keys``, from one ``next_logits_batch`` call."""
-    eos = model.vocab.eos_id
-    logits = model.next_logits_batch([context for context, _, _ in keys])
-    dist = softmax_rows(np.asarray(logits, dtype=float) / config.temperature)
-    if sampling:
-        if config.top_k is not None:
-            dist = _top_k_rows(dist, config.top_k)
-        if config.top_p is not None:
-            dist = _top_p_rows(dist, config.top_p)
-    # a step's keys share its ban stage
-    if keys[0][2]:
-        dist = _ban_rows(dist, [banned for _, banned, _ in keys], eos)
-    if not sampling:
-        return _best_successors(dist, width, eos)
-    records = []
-    for row in dist:
-        ids = np.flatnonzero(row)
-        stop = ids.item(-1) + 1
-        # (ids, probabilities, running sums, whole row's sum) over the support, or
-        # up to its last id when that holds fewer floats; copied, freeing the batch
-        kept = (ids, row[ids]) if 3 * ids.size < 2 * stop else (range(stop), row[:stop].copy())
-        records.append((*kept, kept[1].cumsum(), row.sum()))
-    return records
 
 
 def _successors(tokens: list[int], probs: list[float], eos: int) -> _Successors:
@@ -366,23 +306,98 @@ def _best_successors(dist: np.ndarray, width: int, eos: int) -> list[_Successors
             for ids, probs, count in zip(order.tolist(), ranked.tolist(), support)]
 
 
-def _draws(records: list, rng: np.random.Generator, beam: bool, width: int,
-           eos: int) -> list[_Successors]:
-    """Each sampling record's seeded draws, in live order, as successors: a
-    sampled beam's ``width`` without replacement, most probable first (ids
-    ascend, so an index tie breaks as the id would), or plain sampling's one
-    inverse-CDF lookup, which never lands on a zero, where sums are flat."""
-    drawn = []
-    for ids, probs, cumulative, total in records:
-        if beam:
-            size = min(width, np.count_nonzero(probs))
-            picks = rng.choice(len(ids), size, replace=False, p=probs / total)
-            picks = sorted(picks.tolist(), key=lambda j: (-probs.item(j), j))
-        else:
-            u = rng.random() * cumulative.item(-1)
-            picks = [min(int(cumulative.searchsorted(u, "right")), len(ids) - 1)]
-        drawn.append(_successors([int(ids[j]) for j in picks], list(map(probs.item, picks)), eos))
-    return drawn
+@dataclass(frozen=True)
+class _Shaping:
+    """Every rule by which one search turns a model row into its step's
+    successors, decided once from its ``DecodeConfig`` and vocabulary.
+
+    A row is shaped in a fixed order: temperature, then top-k, then top-p,
+    then the repeated-n-gram ban, renormalizing along the way. Only
+    sampling paths hold top-k and top-p, so greedy and plain beam search
+    ignore them. The ban begins once ``ban`` ids are generated and reads
+    those ids only, so n-grams of the prompt never ban a token. A greedy or
+    beam record holds the shaped row's ranked successors cut at the width,
+    with their ``math.log``s and the eos successor split out; a sampling
+    record, read by both draws, holds the row's positive ids with their
+    probabilities and running sums.
+    """
+
+    temperature: float
+    top_k: int | None
+    top_p: float | None
+    width: int
+    ban: int | None
+    sampling: bool
+    sampled_beam: bool
+    eos: int
+
+    @classmethod
+    def of(cls, config: DecodeConfig, vocab: Vocabulary) -> _Shaping:
+        beam = config.method == "beam"
+        sampling = config.method == "sample" or (beam and config.sample_within_beam)
+        return cls(config.temperature, config.top_k if sampling else None,
+                   config.top_p if sampling else None, config.beam_size if beam else 1,
+                   config.no_repeat_ngram_size, sampling, beam and sampling, vocab.eos_id)
+
+    @property
+    def key(self) -> tuple:
+        """What a record depends on besides its row key (ban stage, banned
+        ids): no ban size, and no width on sampling paths, whose widths all
+        draw from one record, so sampling and sampled beams share records."""
+        if self.sampling:
+            return self.temperature, self.top_k, self.top_p
+        return self.temperature, self.width
+
+    def keys(self, contexts: list[tuple[int, ...]], live: list[_Pair]) -> list[tuple]:
+        """Each live pair's row key: its context, its banned ids, sorted and
+        each once, and whether the ban stage has begun; live ids share one length."""
+        n = self.ban
+        if n is None or len(live[0][1]) < n:
+            return [(context, (), False) for context in contexts]
+        bans = [_banned(ids, n) for _, ids in live]
+        # fewer than two banned ids are already sorted and distinct
+        return [(context, tuple(b) if len(b) < 2 else tuple(sorted(set(b))), True)
+                for context, b in zip(contexts, bans)]
+
+    def shape(self, logits, keys: list) -> list:
+        """The records of row keys ``(context, banned ids, stage)`` from their logits."""
+        dist = softmax_rows(np.asarray(logits, dtype=float) / self.temperature)
+        if self.top_k is not None:
+            dist = _top_k_rows(dist, self.top_k)
+        if self.top_p is not None:
+            dist = _top_p_rows(dist, self.top_p)
+        # a step's keys share its ban stage
+        if keys[0][2]:
+            dist = _ban_rows(dist, [banned for _, banned, _ in keys], self.eos)
+        if not self.sampling:
+            return _best_successors(dist, self.width, self.eos)
+        records = []
+        for row in dist:
+            ids = np.flatnonzero(row)
+            stop = ids.item(-1) + 1
+            # (ids, probabilities, running sums, whole row's sum) over the support, or
+            # up to its last id when that holds fewer floats; copied, freeing the batch
+            kept = (ids, row[ids]) if 3 * ids.size < 2 * stop else (range(stop), row[:stop].copy())
+            records.append((*kept, kept[1].cumsum(), row.sum()))
+        return records
+
+    def draws(self, records: list, rng: np.random.Generator) -> list[_Successors]:
+        """Each sampling record's seeded draws, in live order, as successors: a
+        sampled beam's ``width`` without replacement, most probable first (ids
+        ascend, so an index tie breaks as the id would), or plain sampling's one
+        inverse-CDF lookup, which never lands on a zero, where sums are flat."""
+        drawn = []
+        for ids, probs, cumulative, total in records:
+            if self.sampled_beam:
+                size = min(self.width, np.count_nonzero(probs))
+                picks = rng.choice(len(ids), size, replace=False, p=probs / total)
+                picks = sorted(picks.tolist(), key=lambda j: (-probs.item(j), j))
+            else:
+                u = rng.random() * cumulative.item(-1)
+                picks = [min(int(cumulative.searchsorted(u, "right")), len(ids) - 1)]
+            drawn.append(_successors([int(ids[j]) for j in picks], list(map(probs.item, picks)),
+                                     self.eos))
+        return drawn
 
 
 def _run_end(
@@ -410,15 +425,11 @@ def _run_end(
     return stop, following, descends
 
 
-def _select(
-    live: list[_Pair],
-    successors: list[_Successors],
-    width: int,
-    eos: int,
-    finished: list[_Pair],
-) -> list[_Pair]:
-    """The ``width`` best unfinished successors in search order, or none if
-    the best finished score beats them; eos successors go onto ``finished``.
+def _select(live: list[_Pair], successors: list[_Successors], shaping: _Shaping,
+            finished: list[_Pair]) -> list[_Pair]:
+    """The ``shaping.width`` best unfinished successors in search order, or
+    none if the best finished score beats them; eos successors go onto
+    ``finished``.
 
     Search order is the order of ``(neg, ids)`` pairs: by score, then by
     ids. Live ids share one length, so (parent ids, token) orders as the
@@ -429,7 +440,7 @@ def _select(
     heap, runs = [], []
     for i, ((neg, ids), (eos_log, tokens, logs)) in enumerate(zip(live, successors)):
         if eos_log is not None:
-            heapq.heappush(finished, (neg - eos_log, ids + (eos,)))
+            heapq.heappush(finished, (neg - eos_log, ids + (shaping.eos,)))
         if tokens:
             heap.append((neg - logs[0], ids, tokens[0], i, 0))
         # the row's tokens, the end of its measured run, the score after it
@@ -456,7 +467,7 @@ def _select(
                     heapq.heapreplace(heap, (neg_score, ids, tokens[j], i, j))
                     continue
         selected.append((neg_score, ids + (token,)))
-        if len(selected) == width:
+        if len(selected) == shaping.width:
             break
         j += 1
         if j < len(tokens):
@@ -464,12 +475,6 @@ def _select(
         else:
             heapq.heappop(heap)
     return selected
-
-
-def _samples(config: DecodeConfig) -> bool:
-    """Whether the search draws from the seeded stream: only then does its
-    result depend on ``config.seed``."""
-    return config.method == "sample" or (config.method == "beam" and config.sample_within_beam)
 
 
 def _prompt_ids(prompt, size: int) -> tuple[int, ...]:
@@ -487,32 +492,31 @@ def _search(
     """Search as ``config.method`` selects; the best result and the pool of
     ``(-log_prob, ids)`` pairs, sorted, the best first.
 
-    Each step looks up every live hypothesis's record, scoring the missing
-    ones with one batched model call, extends each by its most probable
-    ids, or by seeded draws on sampling paths, and keeps the ``width`` best
-    unfinished candidates. A pair's natural order is the search order: by
-    score, then by lexicographically smaller ids. Every eos successor goes
-    onto the ``finished`` heap at once; the rest meet in :func:`_select`'s
-    lazy merge, which stops as soon as ``width`` are live, or takes none
-    once the best finished score beats its head.
+    Each step extends every live hypothesis from its record, by its most
+    probable ids or by seeded draws on sampling paths, and keeps the
+    ``width`` best unfinished candidates. A pair's natural order is the
+    search order: by score, then by lexicographically smaller ids. Every
+    eos successor goes onto the ``finished`` heap at once; the rest meet
+    in :func:`_select`'s lazy merge, which stops as soon as ``width`` are
+    live, or takes none once the best finished score beats its head.
     """
-    beam = config.method == "beam"
-    width = config.beam_size if beam else 1
-    sampling = _samples(config)
-    rng = np.random.default_rng(config.seed) if sampling else None
-    memo = _memo(model, config, width, sampling)
     vocab = model.vocab
+    shaping = _Shaping.of(config, vocab)
+    rng = np.random.default_rng(config.seed) if shaping.sampling else None
+    # a model whose logits read the whole prefix never repeats a key: no memo
+    memo = (None if model.context_width is None
+            else _MEMO.setdefault(model, {}).setdefault(shaping.key, {}))
     prompt_ids = _prompt_ids(prompt, len(vocab))
-    eos = vocab.eos_id
     # -0.0, so that a decode of probability 1 scores 0.0, not -0.0
     start = (-0.0, ())
-    finished, live = ([start], []) if prompt_ids and prompt_ids[-1] == eos else ([], [start])
+    finished, live = (([start], []) if prompt_ids and prompt_ids[-1] == shaping.eos
+                      else ([], [start]))
     for _ in range(config.max_length):
         if not live:
             break
-        records = _step(model, prompt_ids, live, config, width, sampling, memo)
-        successors = _draws(records, rng, beam, width, eos) if sampling else records
-        live = _select(live, successors, width, eos, finished)
+        records = _step(model, prompt_ids, live, shaping, memo)
+        successors = shaping.draws(records, rng) if shaping.sampling else records
+        live = _select(live, successors, shaping, finished)
     # anything still alive ran out of budget and counts as finished
     finished.extend(live)
     finished.sort()
@@ -563,22 +567,17 @@ def decode(model: LanguageModel, prompt, config: DecodeConfig) -> DecodeResult:
     return _search(model, prompt, config)[0]
 
 
-def _failure(err: Exception) -> tuple[None, str]:
-    return None, f"{type(err).__name__}: {err}"
-
-
-def _read_prompt(prompt, size: int) -> tuple[tuple[int, ...] | None, str | None]:
+def _isolated(call, *args) -> tuple:
+    """``(call(*args), None)``, or ``(None, message)`` if it raises."""
     try:
-        return _prompt_ids(prompt, size), None
+        return call(*args), None
     except Exception as err:  # noqa: BLE001 - per-prompt fault isolation
-        return _failure(err)
+        return None, f"{type(err).__name__}: {err}"
 
 
 def _decode_one(model: LanguageModel, ids: tuple[int, ...], config: DecodeConfig):
-    try:
-        return decode(model, ids, config), None
-    except Exception as err:  # noqa: BLE001 - per-prompt fault isolation
-        return _failure(err)
+    # the module's decode, looked up at each call: a wrapper bound in its place runs
+    return _isolated(decode, model, ids, config)
 
 
 #: A decode worker's model, set once when the worker starts.
@@ -634,9 +633,9 @@ def batch_decode(
     # each prompt is read to a plain, range-checked id tuple here, inside
     # its own isolation, so a worker receives ints and never an iterator or
     # a sequence's vocabulary, and a bad id never reaches a shared search
-    read = [_read_prompt(p, len(model.vocab)) for p in prompts]
+    read = [_isolated(_prompt_ids, p, len(model.vocab)) for p in prompts]
     tail = None if model.context_width is None else max(model.context_width, 1)
-    sampling = _samples(config)
+    sampling = _Shaping.of(config, model.vocab).sampling
     # search key -> index of its task; each read prompt's task index
     searches: dict[tuple, int] = {}
     tasks, slots = [], []
@@ -651,6 +650,7 @@ def batch_decode(
             searches[key] = len(tasks)
             tasks.append((ids, replace(config, seed=config.seed + i)))
         slots.append(searches[key])
+    workers = count("workers", workers, 1)
     if workers <= 1 or len(tasks) <= 1:
         decoded = [_decode_one(model, *task) for task in tasks]
     else:

@@ -171,8 +171,10 @@ class NGramModel(LanguageModel):
             tokens = np.fromiter(chain.from_iterable(counts.values()), np.intp)
             values = np.fromiter(chain.from_iterable(b.values() for b in counts.values()), float)
             sound = (all(len(ctx) == order - 1 for ctx in counts)
-                     and all(x == BEGIN or 0 <= x < size for x in set(chain.from_iterable(counts)))
+                     and all(x == BEGIN or 0 <= x < size and x == int(x)
+                             for x in set(chain.from_iterable(counts)))
                      and not (tokens.size and (tokens.min() < 0 or tokens.max() >= size))
+                     and (tokens == np.fromiter(chain.from_iterable(counts.values()), float)).all()
                      and not (values < 0).any())
         except Exception:  # noqa: BLE001 - _check_bucket raises it again, in bucket order
             sound = False
@@ -312,7 +314,7 @@ def _check_bucket(ctx, bucket: dict, order: int, size: int) -> None:
     ``order``-gram model over ``size`` ids."""
     if len(ctx) != order - 1:
         raise ValueError(f"context {ctx}: width {len(ctx)}, expected order - 1 = {order - 1}")
-    if any(x != BEGIN and not 0 <= x < size for x in ctx):
+    if any(x != BEGIN and not (0 <= x < size and x == int(x)) for x in ctx):
         raise ValueError(f"context {ctx}: ids must be BEGIN or in [0, {size})")
     try:
         tokens = np.fromiter(bucket.keys(), dtype=np.intp, count=len(bucket))
@@ -321,6 +323,9 @@ def _check_bucket(ctx, bucket: dict, order: int, size: int) -> None:
         in_range = False
     if not in_range:
         raise ValueError(f"context {ctx}: token ids must lie in [0, {size})")
+    # the conversion truncates: 1.5 would count as id 1
+    if (tokens != np.fromiter(bucket.keys(), dtype=float, count=len(bucket))).any():
+        raise ValueError(f"context {ctx}: token ids must be integers")
     if (np.fromiter(bucket.values(), dtype=float, count=len(bucket)) < 0).any():
         raise ValueError(f"context {ctx}: negative count")
 

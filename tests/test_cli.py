@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import io
 import json
 import os
 import re
@@ -444,6 +445,41 @@ class TestConfigFilePrecedence:
     ):
         config = parse_args(self.write_config(tmp_path, json.dumps({key: value})))
         assert getattr(config, key) == expected
+
+    @pytest.mark.parametrize("command, key", [
+        ("filter", "input"), ("filter", "output"), ("decode", "model"), ("pipeline", "vocab"),
+    ])
+    @pytest.mark.parametrize("path, shown", [
+        ("a\ud800.jsonl", '"a\\ud800.jsonl"'), ("a\0.jsonl", '"a\\u0000.jsonl"'),
+    ])
+    def test_config_path_no_file_name_can_be_is_usage_error(
+        self, tmp_path, capsys, command, key, path, shown
+    ):
+        # valid JSON, yet no file has this name: it used to fail the run with
+        # exit 1 and a data error that named neither the key nor the flag
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({key: path}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*_required_args(command, but=key), "--config", str(config_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config key {key!r} must be a path the file system can hold, got {shown}" in err
+
+    def test_config_path_with_an_escaped_byte_names_its_file(self, tmp_path, monkeypatch):
+        # U+DCFF is how Python names the byte 0xff of a file name, as in argv
+        articles = tmp_path / os.fsdecode(b"a\xff.jsonl")
+        write_jsonl(articles, synthetic_articles(4))
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"input": str(articles)}), encoding="utf-8")
+        # the report echoes the path, which a stdout in UTF-8 mode prints as its byte
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                                            errors="surrogateescape"))
+        argv = ["filter", "--config", str(config_path), "--output", str(tmp_path / "c.jsonl")]
+        assert main(argv) == 0
+        assert main(["filter", "--input", str(articles),
+                     "--output", str(tmp_path / "a.jsonl")]) == 0
+        assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+        assert (tmp_path / "c.jsonl").read_bytes()
 
 
 class TestNonFiniteFloats:

@@ -116,6 +116,12 @@ class TestDecodeConfig:
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             DecodeConfig(seed=-1)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(False)])
+    def test_sample_within_beam_refuses_a_non_bool(self, value):
+        # a truthy "no" used to turn the beam stochastic
+        with pytest.raises(TypeError, match="^sample_within_beam must be a bool, not "):
+            DecodeConfig(method="beam", beam_size=3, sample_within_beam=value)
+
 
 class TestTopKFilter:
     def test_hand_renormalization(self):
@@ -436,6 +442,15 @@ class TestBatchDecode:
         assert started == pools
         assert results == [sample_decode(model, (), replace(config, seed=9 + i))
                            for i in range(count)]
+
+    @pytest.mark.parametrize("workers, error", [
+        (0, ValueError), (-3, ValueError), (2.5, TypeError), (None, TypeError),
+        ("2", TypeError), (True, TypeError),
+    ])
+    def test_workers_pass_the_count_rule(self, workers, error):
+        # each used to run serially, or to raise a TypeError naming no parameter
+        with pytest.raises(error, match="^workers must be "):
+            batch_decode(greedy_trap_model(), [()], DecodeConfig(max_length=2), workers=workers)
 
     def test_spawned_workers_get_the_model_at_their_start(self):
         # under spawn nothing is inherited: the model reaches each worker

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import decode_oracle as oracle
@@ -585,8 +585,8 @@ def test_a_key_is_the_oracle_context_and_sorted_set_of_bans(prompt, ids, n, widt
     model = SimpleNamespace(context_width=width, vocab=SimpleNamespace(eos_id=eos),
                             next_logits_batch=lambda contexts: np.zeros((len(contexts), 6)))
     memo = {}
-    config = DecodeConfig(no_repeat_ngram_size=n)
-    decode_module._step(model, prompt, [(0.0, ids)], config, 1, False, memo)
+    shaping = decode_module._Shaping.of(DecodeConfig(no_repeat_ngram_size=n), model.vocab)
+    decode_module._step(model, prompt, [(0.0, ids)], shaping, memo)
     ((context, bans, stage),) = memo
     whole = prompt + ids
     assert context == (whole if width is None else whole[max(len(whole) - width, 0):])
@@ -609,11 +609,13 @@ def sparse_logits(draw):
     return logits
 
 
+NO_EOS = SimpleNamespace(eos_id=-1)  # a vocabulary whose eos no row holds
+
+
 def record_of(logits):
-    """The sampling record ``_shape`` builds from one unfiltered, unbanned row."""
-    model = SimpleNamespace(vocab=SimpleNamespace(eos_id=-1),
-                            next_logits_batch=lambda contexts: logits[None])
-    (record,) = decode_module._shape(model, [((), (), False)], DecodeConfig(), 1, True)
+    """The sampling record a shaping builds from one unfiltered, unbanned row."""
+    shaping = decode_module._Shaping.of(DecodeConfig(method="sample"), NO_EOS)
+    (record,) = shaping.shape(logits[None], [((), (), False)])
     return record
 
 
@@ -642,7 +644,10 @@ def test_sampling_record_draws_equal_the_full_row_oracle(logits, width, seed):
     record = record_of(logits)
     for beam in (False, True):
         spy, oracle_rng = ChoiceSpy(seed), np.random.default_rng(seed)
-        ((_, tokens, logs),) = decode_module._draws([record], spy, beam, width, -1)
+        config = DecodeConfig(method="beam" if beam else "sample", beam_size=width,
+                              sample_within_beam=True)
+        shaping = decode_module._Shaping.of(config, NO_EOS)
+        ((_, tokens, logs),) = shaping.draws([record], spy)
         if beam:
             expected = oracle._sampled_successors(row, width, oracle_rng)
             assert sorted(tokens) == expected
@@ -655,6 +660,72 @@ def test_sampling_record_draws_equal_the_full_row_oracle(logits, width, seed):
             assert tokens == (oracle._sample_index(row, oracle_rng),)
         assert logs == tuple(math.log(row[t]) for t in tokens)
         assert spy.rng.random() == oracle_rng.random()
+
+
+# the DecodeConfig fields a shaping reads, over few values, so that two
+# draws often agree on some and differ on the rest
+shaping_fields = {
+    "method": st.sampled_from(["greedy", "beam", "sample"]),
+    "beam_size": st.integers(1, 3),
+    "top_k": st.none() | st.integers(1, 3),
+    "top_p": st.none() | st.sampled_from([0.4, 1.0]),
+    "temperature": st.sampled_from([0.5, 1.0]),
+    "no_repeat_ngram_size": st.none() | st.integers(1, 2),
+    "sample_within_beam": st.booleans(),
+}
+
+
+@st.composite
+def config_pairs(draw):
+    """Two configs, the second taking each shaping field from the first or
+    drawing it afresh: most pairs differ in a field or two."""
+    first = {name: draw(values) for name, values in shaping_fields.items()}
+    second = {name: first[name] if draw(st.booleans()) else draw(values)
+              for name, values in shaping_fields.items()}
+    return DecodeConfig(**first), DecodeConfig(**second)
+
+
+@st.composite
+def row_batches(draw):
+    """One step's logit rows over 2-6 ids, ties and -inf among them, and its
+    row keys: a ban stage shared by all, and each row's banned ids, at times
+    every id, so the row falls to eos."""
+    size, count = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    logits = np.array(draw(st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 0.0, 0.7, 2.0]),
+                                    min_size=size * count, max_size=size * count)))
+    logits = logits.reshape(count, size)
+    logits[range(count), draw(st.lists(st.integers(0, size - 1), min_size=count,
+                                       max_size=count))] = 1.0  # a finite logit per row
+    stage = draw(st.booleans())
+    banned = st.sets(st.integers(0, size - 1)).map(sorted).map(tuple) if stage else st.just(())
+    keys = [((i,), draw(banned), stage) for i in range(count)]
+    return logits, keys, draw(st.integers(0, size - 1))
+
+
+def bits(value):
+    """A record, or part of one, in a form equal only for bit-identical floats."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return [bits(part) for part in value]
+    return repr(value)
+
+
+@PROPERTY_SETTINGS
+@given(configs=config_pairs(), batch=row_batches())
+# the ban size and, on sampling paths, the width and sampled beam are not in the key
+@example(configs=(DecodeConfig(method="sample", no_repeat_ngram_size=1),
+                  DecodeConfig(method="beam", beam_size=3, sample_within_beam=True)),
+         batch=(np.array([[0.0, 0.7, -np.inf]]), [((0,), (1,), True)], 2))
+def test_equal_shaping_keys_shape_every_row_key_alike(configs, batch):
+    # a memo shares records between all searches of one shaping key, so
+    # every rule the shaping applies to a row must be in the key
+    logits, keys, eos = batch
+    shapings = [decode_module._Shaping.of(config, SimpleNamespace(eos_id=eos))
+                for config in configs]
+    assume(shapings[0].key == shapings[1].key)
+    first, second = (shaping.shape(logits, keys) for shaping in shapings)
+    assert bits(first) == bits(second)
 
 
 # --- batches: each distinct search runs once ---------------------------------

@@ -776,6 +776,11 @@ class TestModelValidation:
             NGramModel(vocab, 1, 1.0, {(): {2**70: 1}})
         with pytest.raises(ValueError, match="BEGIN"):
             NGramModel(vocab, 2, 1.0, {(-2,): {0: 1}})
+        # 1.5 used to count as token id 1, and to make a context no prefix reaches
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            NGramModel(vocab, 1, 1.0, {(): {1.5: 1}})
+        with pytest.raises(ValueError, match="BEGIN"):
+            NGramModel(vocab, 2, 1.0, {(1.5,): {0: 1}})
 
     #: context ids and token ids, bad ones among them, for vocabulary size 3
     _IDS = st.sampled_from([0, 1, 2, BEGIN, 3, -2, 2**70, 1.5, "x", np.int64(2)])
@@ -787,6 +792,8 @@ class TestModelValidation:
                             min_size=4, max_size=4))
     @example(order=2, contexts=[(0,), (1,)], buckets=[{0: 1}, {9: 1, 0: -1}, {}, {}])
     @example(order=2, contexts=[(BEGIN,), (0,)], buckets=[{0: 3, 1: 1}, {2: 2, 1: 0, 0: 4}, {}, {}])
+    # a token id of 1.5 used to be taken as id 1 by both checks
+    @example(order=1, contexts=[()], buckets=[{1.5: 0}, {}, {}, {}])
     def test_one_pass_check_refuses_as_bucket_by_bucket(self, order, contexts, buckets):
         """The constructor refuses counts with the first fault of the buckets
         checked one by one, in order, and accepts them when none has one."""
