@@ -185,12 +185,11 @@ def _build_parser(
 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's subparser, by command name.
 
-    When the first non-option token of ``argv`` names a command, only that
-    command's subparser gets its flags: no other one parses, prints help or
-    reports an error in that run. Otherwise every subparser gets them.
+    When ``argv`` starts with a command, only that command's subparser is
+    built: no other one parses, prints help or reports an error in that
+    run. Otherwise all are, so top-level help lists every command.
     """
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
-    flagged = (named,) if named in _COMMANDS else _COMMANDS
+    built = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="santrauka",
         description="Corpus filtering, n-gram language modeling, sequence "
@@ -200,10 +199,10 @@ def _build_parser(
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     subparsers = {}
-    for command, (_, help) in _COMMANDS.items():
-        p = subparsers[command] = sub.add_parser(command, help=help)
+    for command in built:
+        p = subparsers[command] = sub.add_parser(command, help=_COMMANDS[command][1])
         p.add_argument("--config", help="JSON file with RunConfig overrides")
-        for option in _scope(command).values() if command in flagged else ():
+        for option in _scope(command).values():
             if _value_type(option) is bool:
                 p.add_argument(_flag(option), action="store_const", const=True,
                                help=option.metadata["help"])
@@ -319,8 +318,18 @@ def _atomic_write(path: str, write: Callable) -> None:
         raise
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2)
+def _dump(payload: dict, indent: int | None = 2) -> str:
+    """``payload`` as JSON that any UTF-8 output can hold: text as it is,
+    except that a string holding a surrogate, as a file name's undecodable
+    byte does (U+DCFF for 0xff), has it as its escape, ``"\\udcff"``."""
+    text = json.dumps(payload, ensure_ascii=False, indent=indent)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        # JSON is ASCII outside strings, and backslashreplace writes a
+        # surrogate as the JSON escape of its code point
+        text = text.encode("utf-8", "backslashreplace").decode("utf-8")
+    return text
 
 
 def _write_lines(path: str, lines) -> None:
@@ -488,7 +497,7 @@ def _cmd_decode(config: RunConfig) -> int:
             record.update(text=result.text, score=result.score, steps=result.steps,
                           config_echo=config_echo)
         records.append(record)
-    _write_lines(config.output, (json.dumps(r, ensure_ascii=False) for r in records))
+    _write_lines(config.output, (_dump(r, indent=None) for r in records))
     _progress(
         f"decode: {len(requests)} prompts, {len(errors)} failures, "
         f"{len(bad_lines)} bad lines in {time.monotonic() - started:.1f}s"
@@ -515,7 +524,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
         outputs.append({"id": record["id"], **scored.as_dict()})
 
     _write_lines(
-        config.output, (json.dumps(r, ensure_ascii=False) for r in bad_lines + outputs)
+        config.output, (_dump(r, indent=None) for r in bad_lines + outputs)
     )
     summary, _ = _summary(config, records)
     print(_dump({"config": asdict(config), "skipped": len(bad_lines), "summary": summary}))

@@ -102,7 +102,7 @@ class IngestError:
     message: str
 
 
-def _parse_date(text: str) -> date:
+def _parse_date(text: str, parsed: dict[str, date]) -> date:
     """The date of a ``YYYY-MM-DD`` string of ASCII digits; nothing else.
 
     The format is checked first, because from Python 3.11 on
@@ -110,18 +110,26 @@ def _parse_date(text: str) -> date:
     ``2020-W01-1``, which 3.10 refuses. On a string that passes the check
     every version from 3.10 on reads the same three numbers and builds the
     date as ``date(year, month, day)`` does, with the same range errors.
+    Each date read is kept in ``parsed`` by its string and found there the
+    next time; a string that fails is not kept, so it fails each time.
     """
+    found = parsed.get(text)
+    if found is not None:
+        return found
     digits = text[:4] + text[5:7] + text[8:]
     if not (len(text) == 10 and text[4] == text[7] == "-"
             and digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad published_at: expected YYYY-MM-DD, got {text!r}")
     try:
-        return date.fromisoformat(text)
+        found = parsed[text] = date.fromisoformat(text)
     except ValueError as err:
         raise ValueError(f"bad published_at: {err}") from None
+    return found
 
 
-def _article_from_record(record: dict) -> Article:
+def _article_from_record(record: dict, dates: dict[str, date]) -> Article:
+    """The article of a read record; ``dates`` holds the dates already
+    parsed, by their string, and takes those it parses."""
     keys = record.keys()
     if not keys <= ARTICLE_KEYS:
         raise ValueError(f"unknown keys: {sorted(keys - ARTICLE_KEYS)}")
@@ -144,7 +152,7 @@ def _article_from_record(record: dict) -> Article:
     if published_raw is not None:
         if not isinstance(published_raw, str):
             raise ValueError("key 'published_at' must be an ISO date string")
-        published = _parse_date(published_raw)
+        published = _parse_date(published_raw, dates)
     return Article(
         source=record["source"],
         summary=summary,
@@ -166,10 +174,12 @@ def read_jsonl(
     and an error; reading goes on. An unreadable file raises the underlying
     OSError.
     """
-    # the decoder json.loads uses, without its per-call argument checks; a
-    # line it refuses goes through json.loads for the message, since only
-    # json.loads names a leading byte-order mark
-    decode = json.JSONDecoder().decode
+    # the decoder json.loads uses, without its per-call argument checks and
+    # whitespace scans: a stripped line starts on its value, and a value
+    # that ends before the line does is followed by data. A line it refuses
+    # goes through json.loads for the message, since only json.loads names
+    # a leading byte-order mark and the position of extra data
+    decode = json.JSONDecoder().raw_decode
     # undecodable bytes become lone surrogates, which never re-encode, so
     # a bad byte fails its own line and leaves the newlines where they were
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -179,7 +189,9 @@ def read_jsonl(
                 continue
             try:
                 line.encode("utf-8")
-                record = decode(line)
+                record, end = decode(line)
+                if end != len(line):
+                    raise ValueError("extra data")
             except UnicodeEncodeError:
                 yield line_no, None, "invalid UTF-8"
                 continue
@@ -198,7 +210,11 @@ def read_jsonl(
             if missing:
                 yield line_no, None, f"missing keys: {missing}"
                 continue
-            surrogate = _lone_surrogate(record)
+            # the line holds no raw surrogate, as it encoded, so a value
+            # holds one only from an escape, \ud800 to \udfff; a search for
+            # one character is far cheaper than for three, so it goes first
+            surrogate = ("\\" in line and ("\\ud" in line or "\\uD" in line)
+                         and _lone_surrogate(record))
             if surrogate:
                 yield line_no, None, surrogate
                 continue
@@ -225,10 +241,11 @@ def ingest(path, errors: list[IngestError] | None = None) -> Iterator[Article]:
     ``errors`` is a list, recorded there with its line number. Blank lines
     are ignored. An unreadable file raises the underlying OSError.
     """
+    dates: dict[str, date] = {}
     for line_no, record, message in read_jsonl(path):
         if record is not None:
             try:
-                article = _article_from_record(record)
+                article = _article_from_record(record, dates)
             except ValueError as err:
                 message = str(err)
             else:

@@ -4,6 +4,9 @@ Any next-token model can drive the decoders as long as it maps a prefix
 of token ids to a logit vector over the vocabulary. The bundled
 implementation is a count-and-normalize n-gram model with additive
 smoothing: P(w | ctx) = (count(ctx, w) + alpha) / (total(ctx) + alpha * V).
+Its primitive is the batched ``next_logits_batch``: a decode step's rows
+are filled into one array and logged by one ``np.log`` call, and
+``next_logits`` is a batch of one.
 
 Sequence boundaries: training left-pads each sequence with n-1 begin
 markers (internal only, never predicted) and appends one terminal eos,
@@ -127,7 +130,7 @@ class LanguageModel(ABC):
 
         Row i must equal ``next_logits(prefixes[i])`` bit for bit. This
         default stacks those calls; a model with a real batched forward
-        pass overrides it.
+        pass overrides it, as :class:`NGramModel` does.
         """
         rows = [np.asarray(self.next_logits(p), dtype=float) for p in prefixes]
         # the reshape gives an empty batch its (0 x V) shape
@@ -150,7 +153,9 @@ class NGramModel(LanguageModel):
     Each row is computed from the counts on every call and nothing is
     kept; decoders keep what they shape from a row. With ``alpha=0`` a
     context without counts has no distribution and raises
-    :class:`UnseenContextError`.
+    :class:`UnseenContextError`. Model calls go through
+    :meth:`next_logits_batch`; :meth:`next_distribution` computes its
+    row alone, for :func:`negative_log_likelihood`.
     """
 
     def __init__(
@@ -225,27 +230,43 @@ class NGramModel(LanguageModel):
                 raise ValueError(f"prefix id {x} outside [0, {size})")
         return (BEGIN,) * (width - len(tail)) + tail
 
-    def _probs(self, ctx: tuple[int, ...]) -> np.ndarray:
-        size = len(self._vocab)
+    def _fill(self, row: np.ndarray, ctx: tuple[int, ...]) -> float:
+        """Add the counts of ``ctx`` to ``row``, which holds alpha at every
+        id, and return the row's denominator."""
         total = self._totals.get(ctx, 0)
-        denom = total + self._alpha * size
+        denom = total + self._alpha * len(self._vocab)
         if denom == 0:
             raise UnseenContextError(
                 f"context {ctx} never observed and alpha=0 leaves it undefined"
             )
-        row = np.full(size, self._alpha)
         if total:
             tokens, values = self._rows[ctx]
             row[tokens] += values
-        row /= denom
+        return denom
+
+    def _probs(self, ctx: tuple[int, ...]) -> np.ndarray:
+        row = np.full(len(self._vocab), self._alpha)
+        row /= self._fill(row, ctx)
         return row
 
     def next_distribution(self, prefix) -> np.ndarray:
         return self._probs(self.context_of(prefix))
 
     def next_logits(self, prefix) -> np.ndarray:
+        return self.next_logits_batch([prefix])[0]
+
+    def next_logits_batch(self, prefixes: Sequence) -> np.ndarray:
+        """Each prefix's row of ``np.log`` of :meth:`next_distribution`, bit
+        for bit, filled into one (n x V) array and logged by one call.
+
+        Prefixes are read in order, so the first bad id or unseen context
+        (with ``alpha=0``) raises, as a row-by-row loop would.
+        """
+        rows = np.full((len(prefixes), len(self._vocab)), self._alpha)
+        denoms = [self._fill(row, self.context_of(p)) for row, p in zip(rows, prefixes)]
+        rows /= np.array(denoms).reshape(-1, 1)
         with np.errstate(divide="ignore"):
-            return np.log(self._probs(self.context_of(prefix)))
+            return np.log(rows, out=rows)
 
     def to_dict(self) -> dict:
         return {

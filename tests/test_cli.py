@@ -151,6 +151,57 @@ class TestCommandScope:
         assert err.endswith("error: filter does not take --config keys ['beam_size']\n")
 
 
+#: Help requests, usage errors, and valid runs, each parsed once by the
+#: one-subparser parser and once by the parser of every command.
+_ORACLE_ARGVS = [
+    ["--help"], ["-h"], [],
+    *([command, "--help"] for command in COMMANDS),
+    *(["-h", command] for command in COMMANDS),
+    ["transmogrify"],
+    ["stats"],
+    ["filter", "--input", "i"],
+    ["filter", "--input", "i", "--output", "o", "--beam-size", "3"],
+    ["decode", "--input", "i", "--output", "o", "--model", "m", "--beam-size", "many"],
+    ["decode", "--input", "i", "--output", "o", "--model", "m", "--method", "viterbi"],
+    ["pipeline", "--input"],
+    ["pipeline", "--input", "i", "--output", "o", "--seed=-1"],
+    ["--", "pipeline", "--input", "i", "--output", "o", "--temperature=nan"],
+    ["train-lm", "--input", "i", "--output", "o", "--ngram-order=0"],
+    ["evaluate", "stray", "--input", "i", "--output", "o"],
+    ["split", "--input", "i", "--output", "o", "--config", "missing.json"],
+    ["--frobnicate", "filter", "--input", "i", "--output", "o"],
+    ["pipeline", "--input", "i", "--output", "o", "--beam-size", "3", "--top-k=0"],
+    ["--", "decode", "--input", "i", "--output", "o", "--model", "m", "--seed", "4"],
+]
+
+
+def _parse_outcome(argv, capsys):
+    """What parse_args gives for ``argv``: the config or exit code, and the
+    bytes it printed to stdout and stderr."""
+    try:
+        config, code = parse_args(list(argv)), None
+    except SystemExit as exit:
+        config, code = None, exit.code
+    captured = capsys.readouterr()
+    return config, code, captured.out, captured.err
+
+
+class TestOneSubparser:
+    def test_a_leading_command_builds_only_its_subparser(self):
+        for command in COMMANDS:
+            assert list(_build_parser([command, "--help"])[1]) == [command]
+        for argv in ([], ["-h", "decode"], ["transmogrify"]):
+            assert list(_build_parser(argv)[1]) == list(COMMANDS)
+
+    @pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+    def test_parsing_equals_the_parser_of_every_command(self, capsys, monkeypatch, argv):
+        one = _parse_outcome(argv, capsys)
+        build_every = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv=(): build_every())
+        assert _parse_outcome(argv, capsys) == one
+        assert one[1] in (None, 0, 2)
+
+
 def _documented_command_lines():
     """The command lines of the README's "A typical run" block, and the one
     ``demos/04_full_pipeline.py`` prints, without redirections."""
@@ -480,6 +531,55 @@ class TestConfigFilePrecedence:
                      "--output", str(tmp_path / "a.jsonl")]) == 0
         assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
         assert (tmp_path / "c.jsonl").read_bytes()
+
+
+class TestUndecodableFileNames:
+    """A file name byte that is not UTF-8 is a surrogate in Python (U+DCFF
+    for 0xff); reports and records echo it as its JSON escape, so a strict
+    UTF-8 stdout or output file takes every echo."""
+
+    @staticmethod
+    def named(tmp_path, stem: bytes, records) -> str:
+        return write_jsonl(tmp_path / os.fsdecode(stem + b"\xff.jsonl"), records)
+
+    def argv_and_echo(self, tmp_path, command):
+        """The command's argv over an input named with byte 0xff, and where
+        its config echo goes: "stdout" or a file."""
+        out = str(tmp_path / "out.jsonl")
+        if command in ("filter", "stats", "split", "train-lm", "pipeline"):
+            path = self.named(tmp_path, b"corpus", synthetic_articles(12))
+        elif command == "evaluate":
+            path = self.named(tmp_path, b"pairs", [{"id": 1, "candidate": "a b",
+                                                    "reference": "a c"}])
+        else:
+            path = self.named(tmp_path, b"requests", [{"id": 1, "prompt": "kalba"}])
+        argv = [command, "--input", path, "--output", out]
+        if command == "decode":
+            argv += ["--model", str(train_model_file(tmp_path))]
+        if command in ("split", "pipeline"):
+            argv += ["--n-validation", "2"]
+        return argv, path, "stdout" if command in ("filter", "split", "train-lm",
+                                                   "evaluate") else out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_echo_names_the_file_by_its_bytes(self, tmp_path, monkeypatch, command):
+        argv, path, echo = self.argv_and_echo(tmp_path, command)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, as under PYTHONIOENCODING
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        stdout.flush()
+        text = (stdout.buffer.getvalue().decode("utf-8") if echo == "stdout"
+                else Path(echo).read_text(encoding="utf-8"))
+        assert "\\udcff" in text
+        # decode writes one record a line, each with its config echo
+        first = json.loads(text.splitlines()[0] if command == "decode" else text)
+        config = first["config_echo" if command == "decode" else "config"]
+        assert os.fsencode(config["input"]) == os.fsencode(path)
+
+    def test_other_text_is_not_escaped(self, tmp_path, capsys):
+        input_path = write_jsonl(tmp_path / "corpusą.jsonl", synthetic_articles(12))
+        assert main(["filter", "--input", input_path, "--output", str(tmp_path / "o")]) == 0
+        assert '"input": "' + input_path + '"' in capsys.readouterr().out
 
 
 class TestNonFiniteFloats:

@@ -20,8 +20,10 @@ from santrauka.corpus import (
     format_stats_table,
     ingest,
     longest_common_substring_len,
+    _article_from_record,
     normalize_whitespace,
     overlap_ratio,
+    read_jsonl,
     split_validation,
     to_json_line,
 )
@@ -303,6 +305,74 @@ _fuzzed_lines = st.one_of(
 )
 
 
+#: Text with escaped and unescaped backslashes, surrogates of both kinds, an
+#: escaped pair and a Lithuanian letter.
+_escapable_text = st.text(st.sampled_from("ab \\u\ud800\udbff\udc00\udfff\U0001F600\u0105D")
+                          | st.characters(), max_size=8)
+#: An article line as json.dumps writes it, every surrogate escaped (in
+#: lower or upper case hex), sometimes with data after the object.
+_escaped_lines = st.builds(
+    lambda record, upper, tail: (json.dumps(record).replace("\\ud", "\\uD") if upper
+                                 else json.dumps(record)) + tail,
+    st.fixed_dictionaries({"source": _escapable_text, "summary": _escapable_text,
+                           "body": _escapable_text},
+                          optional={"url": _escapable_text,
+                                    "published_at": st.sampled_from(
+                                        ["2020-01-02", "2020-02-30", "2020-1-01"])}),
+    st.booleans(),
+    st.sampled_from(["", " ", " x", "{}", "]", "\x00", ' "a"']),
+).map(lambda line: line.encode("utf-8"))
+
+
+def read_jsonl_oracle(path, required=()):
+    """``read_jsonl`` as a plain loop: json.loads on each stripped line and a
+    UTF-8 encode of every string value."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                yield line_no, None, "invalid UTF-8"
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as err:
+                yield line_no, None, f"invalid JSON: {err}"
+                continue
+            if not isinstance(record, dict):
+                yield line_no, None, "line is not a JSON object"
+                continue
+            missing = [key for key in required if key not in record]
+            if missing:
+                yield line_no, None, f"missing keys: {missing}"
+                continue
+            error = None
+            for key, value in record.items():
+                if isinstance(value, str) and error is None:
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError as err:
+                        error = f"key {key!r} holds lone surrogate {value[err.start]!r}"
+            yield line_no, None if error else record, error
+
+
+def ingest_oracle(path):
+    """``ingest`` with every date parsed afresh on its own line."""
+    articles, errors = [], []
+    for line_no, record, message in read_jsonl_oracle(path):
+        if record is not None:
+            try:
+                articles.append(_article_from_record(record, {}))
+                continue
+            except ValueError as err:
+                message = str(err)
+        errors.append(IngestError(line_no, message))
+    return articles, errors
+
+
 #: The message of a line that begins with a UTF-8 byte-order mark.
 BOM_ERROR = ("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
              "line 1 column 1 (char 0)")
@@ -505,6 +575,55 @@ class TestIngest(object):
         reader = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
         assert len(articles) + len(errors) == sum(1 for line in reader if line.strip())
         assert all(isinstance(e.message, str) for e in errors)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_escaped_lines | _fuzzed_lines, max_size=6),
+           required=st.sampled_from([(), ("body",), ("url", "source")]))
+    def test_lines_read_as_the_plain_loop_reads_them(self, tmp_path, lines, required):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        assert list(read_jsonl(path, required)) == list(read_jsonl_oracle(path, required))
+        errors = []
+        assert (list(ingest(path, errors)), errors) == ingest_oracle(path)
+
+    def test_an_escaped_backslash_before_ud800_is_text(self, tmp_path):
+        path = self.write_lines(tmp_path, ['{"source":"x","summary":"s \\\\ud800","body":"b"}'])
+        errors = []
+        assert [a.summary for a in ingest(path, errors)] == ["s \\ud800"]
+        assert errors == []
+
+    def test_an_upper_case_surrogate_escape_is_refused(self, tmp_path):
+        path = self.write_lines(tmp_path, ['{"source":"x","summary":"s","body":"b",'
+                                           '"url":"\\uD800"}'])
+        errors = []
+        assert list(ingest(path, errors)) == []
+        assert errors == [IngestError(1, "key 'url' holds lone surrogate '\\ud800'")]
+
+    @pytest.mark.parametrize("tail", [" x", "{}", "]", ' "a"', "\x00"])
+    def test_data_after_the_object_is_named_as_json_loads_names_it(self, tmp_path, tail):
+        line = '{"source":"x","summary":"s","body":"b"}' + tail
+        path = self.write_lines(tmp_path, [line])
+        errors = []
+        assert list(ingest(path, errors)) == []
+        with pytest.raises(json.JSONDecodeError) as caught:
+            json.loads(line)
+        assert str(caught.value).startswith("Extra data: line 1 column ")
+        assert errors == [IngestError(1, f"invalid JSON: {caught.value}")]
+
+    def test_a_date_string_fails_or_parses_on_every_line_it_is_on(self, tmp_path):
+        lines = [json.dumps({"source": str(i), "summary": "s", "body": "b",
+                             "published_at": published})
+                 for i, published in enumerate(["2020-02-30", "2020-02-29", "2020-02-30",
+                                                "2020-02-29", "2020-1-01", "2020-1-01"])]
+        errors = []
+        articles = list(ingest(self.write_lines(tmp_path, lines), errors))
+        assert [(a.source, a.published_at) for a in articles] == [
+            ("1", date(2020, 2, 29)), ("3", date(2020, 2, 29))]
+        bad_day = "bad published_at: day is out of range for month"
+        bad_form = "bad published_at: expected YYYY-MM-DD, got '2020-1-01'"
+        assert errors == [IngestError(1, bad_day), IngestError(3, bad_day),
+                          IngestError(5, bad_form), IngestError(6, bad_form)]
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):

@@ -467,6 +467,71 @@ def test_an_empty_batch_is_a_0_by_v_matrix(make):
     assert batch.dtype == float
 
 
+@st.composite
+def _models_and_batches(draw):
+    """A trained model (V 3-35, orders 1-5, alpha 0 among the strengths) and
+    a batch of its prefixes: counted contexts with their BEGIN pads dropped
+    (so short ones are padded again), random ids (mostly unseen contexts),
+    repeats, and the empty batch."""
+    size = draw(st.integers(3, 35))
+    vocab = Vocabulary([f"t{i}" for i in range(size - 1)] + ["<eos>"], [-1.0] * size,
+                       eos="<eos>")
+    ids = st.integers(0, size - 1)
+    streams = draw(st.lists(st.lists(ids, max_size=12), min_size=1, max_size=6))
+    model = train_ngram(streams, draw(st.integers(1, 5)), draw(st.sampled_from(
+        [0.0, 0.01, 0.5, 1.0, 3.0])), vocab)
+    counted = [tuple(x for x in ctx if x != BEGIN) for ctx in model.counts]
+    prefixes = draw(st.lists(st.sampled_from(counted) | st.lists(ids, max_size=6).map(tuple),
+                             max_size=10))
+    repeats = draw(st.lists(st.sampled_from(prefixes), max_size=3)) if prefixes else []
+    return model, prefixes + repeats
+
+
+def _stacked_logs(model, prefixes):
+    """The oracle: ``np.log`` of each prefix's ``next_distribution``, stacked."""
+    with np.errstate(divide="ignore"):
+        rows = [np.log(model.next_distribution(p)) for p in prefixes]
+    return np.array(rows).reshape(len(prefixes), len(model.vocab))
+
+
+class TestBatchedRows:
+    """``NGramModel.next_logits_batch`` fills every row into one array and
+    logs it once; ``next_logits`` is its batch of one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_models_and_batches())
+    def test_rows_equal_the_stacked_logs_of_the_distributions(self, drawn):
+        model, prefixes = drawn
+        try:
+            expected = _stacked_logs(model, prefixes)
+        except UnseenContextError as err:
+            # alpha 0: the row-by-row oracle stops at the first unseen context
+            with pytest.raises(UnseenContextError) as caught:
+                model.next_logits_batch(prefixes)
+            assert str(caught.value) == str(err)
+            return
+        batch = model.next_logits_batch(prefixes)
+        assert batch.shape == (len(prefixes), len(model.vocab)) and batch.dtype == float
+        assert batch.tobytes() == expected.tobytes()
+        for row, prefix in zip(batch, prefixes):
+            assert model.next_logits(prefix).tobytes() == row.tobytes()
+
+    def test_the_first_unseen_context_is_named(self):
+        model = memo_model(3, 0.0)
+        # (2, 2) and (0, 0) are unseen, (0, 1) was counted
+        for prefixes, named in ([[(0, 1), (2, 2), (0, 0)], r"\(2, 2\)"],
+                                [[(0, 0), (2, 2)], r"\(0, 0\)"]):
+            with pytest.raises(UnseenContextError, match=named + " never observed"):
+                model.next_logits_batch(prefixes)
+
+    def test_a_bad_id_after_an_unseen_context_is_not_reached(self):
+        model = memo_model(2, 0.0)
+        with pytest.raises(UnseenContextError):
+            model.next_logits_batch([(3,), (9,)])
+        with pytest.raises(ValueError, match=r"prefix id 9 outside \[0, 4\)"):
+            model.next_logits_batch([(0,), (9,), (3,)])
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
