@@ -102,7 +102,7 @@ class IngestError:
     message: str
 
 
-def _parse_date(text: str, parsed: dict[str, date]) -> date:
+def _parse_date(text: str) -> date:
     """The date of a ``YYYY-MM-DD`` string of ASCII digits; nothing else.
 
     The format is checked first, because from Python 3.11 on
@@ -110,26 +110,18 @@ def _parse_date(text: str, parsed: dict[str, date]) -> date:
     ``2020-W01-1``, which 3.10 refuses. On a string that passes the check
     every version from 3.10 on reads the same three numbers and builds the
     date as ``date(year, month, day)`` does, with the same range errors.
-    Each date read is kept in ``parsed`` by its string and found there the
-    next time; a string that fails is not kept, so it fails each time.
     """
-    found = parsed.get(text)
-    if found is not None:
-        return found
     digits = text[:4] + text[5:7] + text[8:]
     if not (len(text) == 10 and text[4] == text[7] == "-"
             and digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad published_at: expected YYYY-MM-DD, got {text!r}")
     try:
-        found = parsed[text] = date.fromisoformat(text)
+        return date.fromisoformat(text)
     except ValueError as err:
         raise ValueError(f"bad published_at: {err}") from None
-    return found
 
 
-def _article_from_record(record: dict, dates: dict[str, date]) -> Article:
-    """The article of a read record; ``dates`` holds the dates already
-    parsed, by their string, and takes those it parses."""
+def _article_from_record(record: dict) -> Article:
     keys = record.keys()
     if not keys <= ARTICLE_KEYS:
         raise ValueError(f"unknown keys: {sorted(keys - ARTICLE_KEYS)}")
@@ -152,7 +144,7 @@ def _article_from_record(record: dict, dates: dict[str, date]) -> Article:
     if published_raw is not None:
         if not isinstance(published_raw, str):
             raise ValueError("key 'published_at' must be an ISO date string")
-        published = _parse_date(published_raw, dates)
+        published = _parse_date(published_raw)
     return Article(
         source=record["source"],
         summary=summary,
@@ -241,11 +233,10 @@ def ingest(path, errors: list[IngestError] | None = None) -> Iterator[Article]:
     ``errors`` is a list, recorded there with its line number. Blank lines
     are ignored. An unreadable file raises the underlying OSError.
     """
-    dates: dict[str, date] = {}
     for line_no, record, message in read_jsonl(path):
         if record is not None:
             try:
-                article = _article_from_record(record, dates)
+                article = _article_from_record(record)
             except ValueError as err:
                 message = str(err)
             else:

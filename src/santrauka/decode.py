@@ -306,6 +306,7 @@ def _best_successors(dist: np.ndarray, width: int, eos: int) -> list[_Successors
             for ids, probs, count in zip(order.tolist(), ranked.tolist(), support)]
 
 
+@dataclass(frozen=True)
 class _Shaping:
     """Every rule by which one search turns a model row into its step's
     successors, decided once from its ``DecodeConfig`` and vocabulary.
@@ -319,9 +320,6 @@ class _Shaping:
     with their ``math.log``s and the eos successor split out; a sampling
     record, read by both draws, holds the row's positive ids with their
     probabilities and running sums.
-
-    Immutable: :meth:`of` sets the fields once, and setting or deleting one
-    raises AttributeError.
     """
 
     temperature: float
@@ -337,22 +335,9 @@ class _Shaping:
     def of(cls, config: DecodeConfig, vocab: Vocabulary) -> _Shaping:
         beam = config.method == "beam"
         sampling = config.method == "sample" or (beam and config.sample_within_beam)
-        shaping = object.__new__(cls)
-        # straight into the instance dict, past __setattr__: built once per
-        # search, at a third of the cost of a frozen dataclass, and its
-        # fields read as fast as plain attributes
-        vars(shaping).update(
-            temperature=config.temperature, top_k=config.top_k if sampling else None,
-            top_p=config.top_p if sampling else None, width=config.beam_size if beam else 1,
-            ban=config.no_repeat_ngram_size, sampling=sampling, sampled_beam=beam and sampling,
-            eos=vocab.eos_id)
-        return shaping
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a shaping is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a shaping is immutable")
+        return cls(config.temperature, config.top_k if sampling else None,
+                   config.top_p if sampling else None, config.beam_size if beam else 1,
+                   config.no_repeat_ngram_size, sampling, beam and sampling, vocab.eos_id)
 
     @property
     def key(self) -> tuple:

@@ -130,7 +130,10 @@ class LanguageModel(ABC):
 
         Row i must equal ``next_logits(prefixes[i])`` bit for bit. This
         default stacks those calls; a model with a real batched forward
-        pass overrides it, as :class:`NGramModel` does.
+        pass overrides it, as :class:`NGramModel` does. Callers that score
+        several prefixes should pass them here in one call: for such a
+        model a single ``next_logits`` call is a batch of one and pays the
+        batch's fixed cost for one row.
         """
         rows = [np.asarray(self.next_logits(p), dtype=float) for p in prefixes]
         # the reshape gives an empty batch its (0 x V) shape
@@ -253,6 +256,10 @@ class NGramModel(LanguageModel):
         return self._probs(self.context_of(prefix))
 
     def next_logits(self, prefix) -> np.ndarray:
+        """The row of :meth:`next_logits_batch` for one prefix. It pays the
+        batch's fixed cost (the 2-D fill, the denominator array, the
+        broadcast division) for one row, so it costs more than the row
+        alone would; callers with several prefixes should batch them."""
         return self.next_logits_batch([prefix])[0]
 
     def next_logits_batch(self, prefixes: Sequence) -> np.ndarray:

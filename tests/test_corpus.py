@@ -360,12 +360,12 @@ def read_jsonl_oracle(path, required=()):
 
 
 def ingest_oracle(path):
-    """``ingest`` with every date parsed afresh on its own line."""
+    """``ingest`` over the plain read loop."""
     articles, errors = [], []
     for line_no, record, message in read_jsonl_oracle(path):
         if record is not None:
             try:
-                articles.append(_article_from_record(record, {}))
+                articles.append(_article_from_record(record))
                 continue
             except ValueError as err:
                 message = str(err)

@@ -728,18 +728,6 @@ def test_equal_shaping_keys_shape_every_row_key_alike(configs, batch):
     assert bits(first) == bits(second)
 
 
-def test_a_shaping_is_immutable():
-    # its key is the memo's key: a field changed after the search began
-    # would shape rows the records under the old key do not hold
-    shaping = decode_module._Shaping.of(DecodeConfig(method="beam", beam_size=3),
-                                        SimpleNamespace(eos_id=2))
-    with pytest.raises(AttributeError, match="immutable"):
-        shaping.width = 4
-    with pytest.raises(AttributeError, match="immutable"):
-        del shaping.eos
-    assert (shaping.key, shaping.width, shaping.eos) == ((1.0, 3), 3, 2)
-
-
 # --- batches: each distinct search runs once ---------------------------------
 
 
