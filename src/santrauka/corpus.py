@@ -32,6 +32,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -102,6 +103,7 @@ class IngestError:
     message: str
 
 
+@lru_cache(maxsize=1024)
 def _parse_date(text: str) -> date:
     """The date of a ``YYYY-MM-DD`` string of ASCII digits; nothing else.
 
@@ -110,6 +112,9 @@ def _parse_date(text: str) -> date:
     ``2020-W01-1``, which 3.10 refuses. On a string that passes the check
     every version from 3.10 on reads the same three numbers and builds the
     date as ``date(year, month, day)`` does, with the same range errors.
+
+    Cached: a corpus has one date string per day it covers, on many
+    lines each. A string that fails is not cached, so it fails each time.
     """
     digits = text[:4] + text[5:7] + text[8:]
     if not (len(text) == 10 and text[4] == text[7] == "-"
