@@ -87,7 +87,7 @@ class RunConfig:
                            "a second worker paid off from about 1,000 searches",
                            commands=_DECODING)
     method: str = _option("beam", "decoding algorithm (default: beam)", choices=METHODS,
-                          commands=(*_DECODING, "evaluate"))
+                          commands=_DECODING)
     beam_size: int = _option(10, "hypotheses kept per step (default: 10)", commands=_DECODING)
     top_k: int | None = _option(None, "sample from the k best tokens; 0 disables (default)",
                                 type=int, zero_disables=True, commands=_DECODING)
@@ -457,13 +457,13 @@ def _decode(
     return [results.get(i) for i in range(len(texts))], errors
 
 
-def _summary(config: RunConfig, scored: list) -> tuple[dict | None, str | None]:
-    """The aggregate of the scored pairs and its table, which also goes to
-    stderr; (None, None) when nothing was scored."""
+def _summary(label: str, scored: list) -> tuple[dict | None, str | None]:
+    """The aggregate of the scored pairs and its table, one row named
+    ``label``, which also goes to stderr; (None, None) when nothing was scored."""
     if not scored:
         return None, None
     summary = aggregate(scored)
-    table = render_table({config.method: summary})
+    table = render_table({label: summary})
     _progress(table)
     return summary.as_dict(), table
 
@@ -526,7 +526,8 @@ def _cmd_evaluate(config: RunConfig) -> int:
     _write_lines(
         config.output, (_dump(r, indent=None) for r in bad_lines + outputs)
     )
-    summary, _ = _summary(config, records)
+    # the pairs come from a file, by no decoding method evaluate knows
+    summary, _ = _summary("candidates", records)
     print(_dump({"config": asdict(config), "skipped": len(bad_lines), "summary": summary}))
     return 0
 
@@ -561,7 +562,7 @@ def _cmd_pipeline(config: RunConfig) -> int:
     ]
     payload.update(train_count=len(train), validation_count=len(validation),
                    decoded=len(scored), decode_errors=len(errors))
-    payload["evaluation"], table = _summary(config, scored)
+    payload["evaluation"], table = _summary(config.method, scored)
     if table is not None:
         payload["table"] = table
     _write_lines(config.output, [_dump(payload)])

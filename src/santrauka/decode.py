@@ -30,10 +30,16 @@ Selection never sorts a step's candidates. Each row's successors come
 ranked most probable first, so their scores never rise along the row; a
 heap merges the rows and stops once ``width`` are live, so only the
 candidates it reaches are scored, each from its record's log. A run of
-equal scores is sorted by id only where its ids descend. Beam search's
-early stop is tested on the merge's head, the best successor, before any
-is taken, so a stopping step builds none. The pool and every output equal
-those of a full sort tested after each step.
+equal scores is sorted by id only where its ids descend. Steps add
+log p <= 0, so a hypothesis strictly below the best finished score can
+never win: the merge stops at the first such candidate, and a search
+that does not sample drops such an eos successor too. At the merge's
+head this is beam search's early stop, so a stopping step builds none;
+further down, it prunes the beam. The pruned search returns the unpruned
+one's result bit for bit from no more model rows. ``beam_search``'s
+``return_all`` pool and the sampling paths, whose every row draws from
+the seeded stream, keep every hypothesis, and that pool equals the pool of
+a full sort tested after each step.
 """
 
 from __future__ import annotations
@@ -426,7 +432,7 @@ def _run_end(
 
 
 def _select(live: list[_Pair], successors: list[_Successors], shaping: _Shaping,
-            finished: list[_Pair]) -> list[_Pair]:
+            finished: list[_Pair], prune: bool) -> list[_Pair]:
     """The ``shaping.width`` best unfinished successors in search order, or
     none if the best finished score beats them; eos successors go onto
     ``finished``.
@@ -436,23 +442,33 @@ def _select(live: list[_Pair], successors: list[_Successors], shaping: _Shaping,
     successor's ids would, without building them. Each row's successors
     come ranked, so a heap over the rows' next successors yields them in
     that order, and only the successors it reaches pay for a tuple.
+
+    Steps add log p <= 0, so a hypothesis scoring strictly below the best
+    finished one can never win, nor can any of its descendants. With
+    ``prune`` the merge stops at its first such candidate and such an eos
+    successor is not kept; without it only the merge's head is tested,
+    which is the early stop, and every eos successor is kept. A tie keeps
+    decoding, as id order may favour it.
     """
+    # the negated score a kept candidate may not exceed
+    cut = finished[0][0] if finished else math.inf
     heap, runs = [], []
     for i, ((neg, ids), (eos_log, tokens, logs)) in enumerate(zip(live, successors)):
-        if eos_log is not None:
+        if eos_log is not None and not (prune and neg - eos_log > cut):
             heapq.heappush(finished, (neg - eos_log, ids + (shaping.eos,)))
+            cut = finished[0][0]
         if tokens:
             heap.append((neg - logs[0], ids, tokens[0], i, 0))
         # the row's tokens, the end of its measured run, the score after it
         runs.append([tokens, 0, 0.0])
     heapq.heapify(heap)
-    if heap and finished and finished[0][0] < heap[0][0]:
-        # steps add log p <= 0, so no successor can end above the best
-        # finished score; a tie keeps decoding, as id order may favour it
-        return []
     selected = []
     while heap:
         neg_score, ids, token, i, j = heap[0]
+        if neg_score > cut:
+            break
+        if not prune:
+            cut = math.inf  # only the head is tested: the early stop
         run = runs[i]
         tokens = run[0]
         if j == run[1]:
@@ -487,7 +503,7 @@ def _prompt_ids(prompt, size: int) -> tuple[int, ...]:
 
 
 def _search(
-    model: LanguageModel, prompt, config: DecodeConfig
+    model: LanguageModel, prompt, config: DecodeConfig, pool: bool = False
 ) -> tuple[DecodeResult, list[_Pair]]:
     """Search as ``config.method`` selects; the best result and the pool of
     ``(-log_prob, ids)`` pairs, sorted, the best first.
@@ -499,10 +515,18 @@ def _search(
     eos successor goes onto the ``finished`` heap at once; the rest meet
     in :func:`_select`'s lazy merge, which stops as soon as ``width`` are
     live, or takes none once the best finished score beats its head.
+
+    A search that does not sample prunes: it keeps no hypothesis, live or
+    finished, that scores strictly below the best finished one. None of
+    them could win, so the kept live set is the unpruned one less those,
+    and the result, its score and steps are the unpruned search's. The
+    pool then lacks them, so ``pool`` keeps every hypothesis, as does a
+    sampling search, whose every row draws from the seeded stream.
     """
     vocab = model.vocab
     shaping = _Shaping.of(config, vocab)
     rng = np.random.default_rng(config.seed) if shaping.sampling else None
+    prune = not (pool or shaping.sampling)
     # a model whose logits read the whole prefix never repeats a key: no memo
     memo = (None if model.context_width is None
             else _MEMO.setdefault(model, {}).setdefault(shaping.key, {}))
@@ -516,7 +540,7 @@ def _search(
             break
         records = _step(model, prompt_ids, live, shaping, memo)
         successors = shaping.draws(records, rng) if shaping.sampling else records
-        live = _select(live, successors, shaping, finished)
+        live = _select(live, successors, shaping, finished, prune)
     # anything still alive ran out of budget and counts as finished
     finished.extend(live)
     finished.sort()
@@ -543,11 +567,14 @@ def beam_search(
     sequence. Search stops early once the best finished score is
     strictly greater than the best live score: scores never rise, so no
     live hypothesis could still win, and the winner is the one a search
-    over the full max_length budget would return. With ``return_all``
-    the finished pool collected up to the stop is returned alongside the
-    best result, sorted, the winner first.
+    over the full max_length budget would return. For the same reason a
+    beam that does not sample drops every hypothesis, live or finished,
+    scoring strictly below the best finished one; the result is the same.
+    With ``return_all`` nothing is dropped: the finished pool collected up
+    to the stop is returned alongside the best result, sorted, the winner
+    first.
     """
-    result, finished = _search(model, prompt, replace(config, method="beam"))
+    result, finished = _search(model, prompt, replace(config, method="beam"), return_all)
     if not return_all:
         return result
     return result, [Hypothesis(ids, -neg, True) for neg, ids in finished]

@@ -77,7 +77,7 @@ SCOPE = {
     "decode": {"input", "output", "model", "seed", "workers", "method", "beam_size", "top_k",
                "top_p", "temperature", "no_repeat_ngram_size", "max_length",
                "sample_within_beam"},
-    "evaluate": {"input", "output", "method", "stemmer"},
+    "evaluate": {"input", "output", "stemmer"},
     "pipeline": {"input", "output", "vocab", "seed", "workers", "method", "beam_size",
                  "top_k", "top_p", "temperature", "no_repeat_ngram_size", "max_length",
                  "sample_within_beam", "ngram_order", "alpha", "n_validation", "stemmer",
@@ -105,8 +105,8 @@ class TestCommandScope:
     def test_tables_cover_every_command_and_field(self):
         assert set(SCOPE) == set(COMMANDS)
         assert set(FIELD_VALUES) == {f.name for f in fields(RunConfig)} - {"command"}
-        assert [len(SCOPE[c]) for c in COMMANDS] == [6, 6, 4, 5, 13, 4, 21]
-        assert sum(map(len, SCOPE.values())) == 59
+        assert [len(SCOPE[c]) for c in COMMANDS] == [6, 6, 4, 5, 13, 3, 21]
+        assert sum(map(len, SCOPE.values())) == 58
 
     @pytest.mark.parametrize("name", FIELD_VALUES)
     @pytest.mark.parametrize("command", COMMANDS)
@@ -708,8 +708,7 @@ class TestRenderRoundTrip:
                   top_p=0.9, temperature=0.25, no_repeat_ngram_size=None,
                   n_validation=16, stemmer="lithuanian-light", workers=2,
                   max_length=12, alpha=0.0, min_ratio=3.5),
-        RunConfig(command="evaluate", input="i", output="o", method="sample",
-                  stemmer="lithuanian-light"),
+        RunConfig(command="evaluate", input="i", output="o", stemmer="lithuanian-light"),
     ]
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.command)
@@ -1109,6 +1108,16 @@ class TestEvaluateCommand:
         assert payload["skipped"] == 2
         assert payload["summary"]["count"] == 1
 
+    def test_the_table_labels_its_row_candidates(self, tmp_path, capsys):
+        # the pairs come from a file: its row names no decoding method
+        pairs = [{"id": 1, "candidate": "a b", "reference": "a c"}]
+        input_path = write_jsonl(tmp_path / "pairs.jsonl", pairs)
+        assert main(["evaluate", "--input", input_path, "--output",
+                     str(tmp_path / "s.jsonl")]) == 0
+        header, row = capsys.readouterr().err.splitlines()
+        assert header.startswith("Decoding method")
+        assert row.split()[0] == "candidates"
+
     def test_stemmer_flag(self, tmp_path, capsys):
         pairs = [{"id": 1, "candidate": "namas", "reference": "namo"}]
         input_path = write_jsonl(tmp_path / "pairs.jsonl", pairs)
@@ -1155,6 +1164,14 @@ class TestPipelineCommand:
         assert payload["evaluation"]["count"] == 5
         assert "formatted" in payload["evaluation"]["rouge2_f"]
         assert "Decoding method" in payload["table"]
+
+    def test_the_table_labels_its_row_with_the_method(self, tmp_path):
+        input_path = write_jsonl(tmp_path / "corpus.jsonl", synthetic_articles(30, seed=2))
+        report_path = tmp_path / "report.json"
+        assert main(["pipeline", "--input", input_path, "--output", str(report_path),
+                     "--n-validation", "5", "--method", "greedy", "--max-length", "10"]) == 0
+        _, row = json.loads(report_path.read_text(encoding="utf-8"))["table"].splitlines()
+        assert row.split()[0] == "greedy"
 
     def test_byte_identical_reruns(self, tmp_path):
         input_path = write_jsonl(tmp_path / "corpus.jsonl", synthetic_articles(25, seed=4))

@@ -190,6 +190,9 @@ def test_beam_search_equals_full_budget_oracle(model, config, prompt):
     assert pool[0] == expected[0]
     assert pool == oracle.beam_search(model, prompt, config, early_stop=True)
     assert counted.rows <= reference.rows
+    # without the pool, a search that does not sample prunes
+    pruned = decode(model, prompt, config)
+    assert (pruned.tokens.ids, pruned.score) == (expected[0].ids, expected[0].log_prob)
 
 
 def test_eos_below_the_cut_lands_in_the_pool():
@@ -222,29 +225,35 @@ class LastIdLogitTable(LogitTable):
     context_width = 1
 
 
-def assert_one_ulp_apart_probabilities_take_the_lower_token(low, same_log):
-    # after token 0, token 3 is one ulp likelier than token 2, yet behind
-    # the score of (0,) both round to one score, where search order takes
-    # the lower token: beam 3 keeps (1, 1), (0, 0) and (0, 2), not (0, 3)
+def one_ulp_table(low, model_class=LogitTable):
+    """After token 0, token 3 is one ulp likelier than token 2, yet behind
+    the score of (0,) both round to one score, where search order takes
+    the lower token: beam 3 keeps (1, 1), (0, 0) and (0, 2), not (0, 3)."""
     vocab = make_vocab(4)
     eos = vocab.eos_id
     after_zero = [0.0, -6.0, low, float(np.nextafter(low, 0.0)), -4.0]
     only_one = [-9.0, 0.0, -9.0, -9.0, -9.0]
     only_eos = [-9.0, -9.0, -9.0, -9.0, 0.0]
     rows = {0: after_zero, 1: only_one, 2: only_eos, 3: only_eos, eos: only_eos}
-    start = [0.0, -0.2, -9.0, -9.0, -3.0]
+    return model_class(vocab, [0.0, -0.2, -9.0, -9.0, -3.0], rows)
+
+
+ONE_ULP_CONFIG = DecodeConfig(method="beam", beam_size=3, max_length=3)
+
+
+def assert_one_ulp_apart_probabilities_take_the_lower_token(low, same_log):
     # the second model shares its records between decodes: sorting the
     # descending run of the first decode must not reorder the second's
-    for model in (LogitTable(vocab, start, rows), LastIdLogitTable(vocab, start, rows)):
+    for model in (one_ulp_table(low), one_ulp_table(low, LastIdLogitTable)):
+        eos = model.vocab.eos_id
         base = math.log(softmax(model.next_logits(()))[0])
         p = softmax(model.next_logits((0,)))
         assert p[3] == np.nextafter(p[2], 1.0)
         assert (math.log(p[3]) == math.log(p[2])) is same_log
         assert base + math.log(p[3]) == base + math.log(p[2])
-        config = DecodeConfig(method="beam", beam_size=3, max_length=3)
-        expected = oracle.beam_search(model, (), config)
+        expected = oracle.beam_search(model, (), ONE_ULP_CONFIG)
         for _ in range(2):
-            result, pool = beam_search(model, (), config, return_all=True)
+            result, pool = beam_search(model, (), ONE_ULP_CONFIG, return_all=True)
             assert pool == expected
             assert (0, 2, eos) in [h.ids for h in pool]
             assert (0, 3, eos) not in [h.ids for h in pool]
@@ -259,6 +268,51 @@ def test_one_ulp_apart_probabilities_with_one_log_take_the_lower_token():
     # the logs are equal too, so the run of (0, 3), (0, 2) never changes
     # its log: only its descending ids show it must be sorted
     assert_one_ulp_apart_probabilities_take_the_lower_token(-1.998, same_log=True)
+
+
+def counted(model, width):
+    """A fresh counting wrapper, declaring the model's context width (so its
+    search keeps records) or none."""
+    return WidthCountingModel(model) if width else CountingModel(model)
+
+
+@PROPERTY_SETTINGS
+@given(model=models, config=configs, prompt=st.lists(st.integers(0, 5), max_size=4),
+       width=st.booleans())
+@example(model=TIE_WITH_FINISHED, config=TIE_CONFIG, prompt=[], width=False)
+@example(model=EOS_BELOW_CUT, config=DecodeConfig(method="beam", beam_size=3, max_length=6),
+         prompt=[], width=True)
+@example(model=one_ulp_table(-1.9984), config=ONE_ULP_CONFIG, prompt=[], width=False)
+@example(model=one_ulp_table(-1.998, LastIdLogitTable), config=ONE_ULP_CONFIG, prompt=[],
+         width=True)
+# a sampled beam keeps (2, 0), below the finished (eos): dropping it would
+# leave its draws at step 3 to the rows of step 4, and (2, 2, 1) would then
+# draw a successor above (eos)
+@example(model=random_ngram_model(48002, 3, 4, 0.3), prompt=[], width=False,
+         config=DecodeConfig(method="beam", beam_size=2, sample_within_beam=True,
+                             max_length=4, seed=40))
+def test_a_pruned_beam_returns_the_pooled_winner_from_no_more_rows(model, config, prompt, width):
+    # the pool keeps every hypothesis; without it, a beam that does not
+    # sample drops those below the best finished score, which cannot win
+    prompt = tuple(t % len(model.vocab) for t in prompt)
+    pruned, pooled = counted(model, width), counted(model, width)
+    result = decode(pruned, prompt, config)
+    expected, _ = beam_search(pooled, prompt, config, return_all=True)
+    assert ((result.tokens.ids, result.text, result.score.hex(), result.steps)
+            == (expected.tokens.ids, expected.text, expected.score.hex(), expected.steps))
+    assert pruned.rows <= pooled.rows
+
+
+def test_a_pruned_beam_scores_fewer_rows_than_the_pool():
+    # beam 3: (0, eos) finishes at step 2 with -1.49, so (2, 0) at -3.00 is
+    # pruned at step 2, and (1, 2, 0) and (1, 2, 1) at -1.72 at step 3;
+    # both searches stop at step 4, the pooled one after 3 more rows
+    config = DecodeConfig(method="beam", beam_size=3, max_length=6)
+    pruned, pooled = CountingModel(EOS_BELOW_CUT), CountingModel(EOS_BELOW_CUT)
+    result = decode(pruned, (), config)
+    assert result == beam_search(pooled, (), config, return_all=True)[0]
+    assert result.tokens.ids == (0, EOS_BELOW_CUT.vocab.eos_id)
+    assert (pruned.rows, pooled.rows) == (7, 10)
 
 
 @PROPERTY_SETTINGS
@@ -378,6 +432,8 @@ def assert_equals_oracle(model, prompt, config):
         assert (result.tokens.ids, result.score) == (expected[0].ids, expected[0].log_prob)
         assert pool[0] == expected[0]
         assert pool == oracle.beam_search(model, prompt, config, early_stop=True)
+        pruned = decode(model, prompt, config)
+        assert (pruned.tokens.ids, pruned.score) == (expected[0].ids, expected[0].log_prob)
     else:
         reference = oracle.greedy_decode if config.method == "greedy" else oracle.sample_decode
         result = decode(model, prompt, config)
