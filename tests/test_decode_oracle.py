@@ -190,7 +190,7 @@ def test_beam_search_equals_full_budget_oracle(model, config, prompt):
     assert pool[0] == expected[0]
     assert pool == oracle.beam_search(model, prompt, config, early_stop=True)
     assert counted.rows <= reference.rows
-    # without the pool, a search that does not sample prunes
+    # without the pool a search that does not sample prunes, to the same result
     pruned = decode(model, prompt, config)
     assert (pruned.tokens.ids, pruned.score) == (expected[0].ids, expected[0].log_prob)
 
@@ -270,7 +270,7 @@ def test_one_ulp_apart_probabilities_with_one_log_take_the_lower_token():
     assert_one_ulp_apart_probabilities_take_the_lower_token(-1.998, same_log=True)
 
 
-def counted(model, width):
+def counting(model, width):
     """A fresh counting wrapper, declaring the model's context width (so its
     search keeps records) or none."""
     return WidthCountingModel(model) if width else CountingModel(model)
@@ -295,7 +295,7 @@ def test_a_pruned_beam_returns_the_pooled_winner_from_no_more_rows(model, config
     # the pool keeps every hypothesis; without it, a beam that does not
     # sample drops those below the best finished score, which cannot win
     prompt = tuple(t % len(model.vocab) for t in prompt)
-    pruned, pooled = counted(model, width), counted(model, width)
+    pruned, pooled = counting(model, width), counting(model, width)
     result = decode(pruned, prompt, config)
     expected, _ = beam_search(pooled, prompt, config, return_all=True)
     assert ((result.tokens.ids, result.text, result.score.hex(), result.steps)
