@@ -434,8 +434,8 @@ def _run_end(
 def _select(live: list[_Pair], successors: list[_Successors], shaping: _Shaping,
             finished: list[_Pair], prune: bool) -> list[_Pair]:
     """The ``shaping.width`` best unfinished successors in search order, or
-    none if the best finished score beats them; eos successors go onto
-    ``finished``.
+    none if the best finished score beats the best of them, and with
+    ``prune`` none it beats; eos successors go onto ``finished``.
 
     Search order is the order of ``(neg, ids)`` pairs: by score, then by
     ids. Live ids share one length, so (parent ids, token) orders as the
