@@ -15,18 +15,21 @@ list exactly, with no suffix longer than the five lengths tested.
 
 Aggregates are the arithmetic mean and sample standard deviation
 (divisor n-1, zero for a single record), rendered as "0.298 (0.154)".
+Only :func:`aggregate` uses numpy, and it imports numpy on its first call:
+importing this module and scoring pairs loads none.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from santrauka._checks import count
-from santrauka.tokenizer import ngrams, word_tokenize
+from santrauka._words import ngrams, word_tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_STOP_WORDS",
@@ -306,6 +309,8 @@ class EvalSummary:
 
 def aggregate(records: Iterable[EvalRecord]) -> EvalSummary:
     """Reduce per-pair records to corpus means and standard deviations."""
+    import numpy as np  # here, so a process that only scores pairs never loads numpy
+
     records = list(records)
     if not records:
         raise ValueError("cannot aggregate zero records")

@@ -1,10 +1,12 @@
 """Word tokenization, n-gram extraction, and unigram subword segmentation.
 
 Two tokenization levels live here. Word tokens (whitespace split, edge
-punctuation stripped) feed the overlap metrics and the repetition check.
-Subword tokens come from segmenting text against a fixed vocabulary of
-scored pieces: the segmenter picks, by dynamic programming, the token
-sequence with the highest total log-probability.
+punctuation stripped) feed the overlap metrics and the repetition check;
+:func:`word_tokenize` and :func:`ngrams` live in the numpy-free
+``santrauka._words`` and are the same objects here. Subword tokens come
+from segmenting text against a fixed vocabulary of scored pieces: the
+segmenter picks, by dynamic programming, the token sequence with the
+highest total log-probability.
 
 Vocabulary files are UTF-8, one ``token<TAB>log_prob`` entry per line,
 ids assigned in file order. Special tokens are declared either by an
@@ -18,7 +20,6 @@ import json
 import math
 import operator
 import sys
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from santrauka._checks import count
+from santrauka._words import ngrams, word_tokenize
 
 __all__ = [
     "TokenSequence",
@@ -41,49 +43,6 @@ __all__ = [
 RESERVED_SPECIALS = {"eos": "<eos>", "unk": "<unk>", "pad": "<pad>"}
 
 _UNCOVERED = "text cannot be segmented: uncovered characters and no unk token defined"
-
-
-def _is_punct(ch: str) -> bool:
-    # no alphanumeric code point has a P* category; skip the lookup for them
-    return not ch.isalnum() and unicodedata.category(ch).startswith("P")
-
-
-def word_tokenize(text: str, lowercase: bool = False) -> list[str]:
-    """Split on whitespace and strip punctuation from word edges.
-
-    Internal punctuation (hyphens, apostrophes) is kept; words that are
-    all punctuation disappear. Idempotent on its own output.
-    """
-    if lowercase:
-        # one lower() for the whole text equals one per token: no code
-        # point lowers to or from whitespace or punctuation, and the
-        # final-sigma rule reads no context across whitespace (both gated
-        # in tests/test_tokenizer.py)
-        text = text.lower()
-    tokens = []
-    for chunk in text.split():
-        # alphanumeric edges are never punctuation: most words skip the scan
-        if not (chunk[0].isalnum() and chunk[-1].isalnum()):
-            start, end = 0, len(chunk)
-            while start < end and _is_punct(chunk[start]):
-                start += 1
-            while end > start and _is_punct(chunk[end - 1]):
-                end -= 1
-            if start == end:
-                continue
-            chunk = chunk[start:end]
-        tokens.append(chunk)
-    return tokens
-
-
-def ngrams(tokens: Sequence, n: int) -> Counter:
-    """All contiguous windows of length ``n``, with multiplicities."""
-    n = count("n-gram order", n, 1)
-    if n > len(tokens):
-        return Counter()
-    # the i-th shifted copy supplies each window's i-th item; zip stops at
-    # the shortest copy, so every window is whole
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 class Vocabulary:

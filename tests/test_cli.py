@@ -31,6 +31,7 @@ from santrauka.cli import (
 from santrauka.corpus import longest_common_substring_len
 from santrauka.decode import METHODS
 from santrauka.lm import NGramModel, train_ngram
+from santrauka.metrics import evaluate_pair
 from santrauka.tokenizer import Vocabulary, char_vocabulary, viterbi_segment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1349,21 +1350,142 @@ class TestTamperedModel:
         assert not output_path.exists()
 
 
+def run_fresh(program: str) -> str:
+    """Standard output of ``program`` run in a fresh isolated interpreter
+    that sees ``src/``, under ``-W error``."""
+    program = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{program}"
+    done = subprocess.run([sys.executable, "-I", "-W", "error", "-c", program],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+#: The names the package exported when its __init__ imported every
+#: submodule, by the submodule that defines each one.
+PACKAGE_EXPORTS = {
+    "corpus": ("Article", "FilterConfig", "FilterReport", "corpus_stats", "filter_article",
+               "ingest", "longest_common_substring_len", "overlap_ratio", "split_validation"),
+    "decode": ("DecodeConfig", "DecodeResult", "Hypothesis", "batch_decode", "beam_search",
+               "block_repeated_ngrams", "decode", "greedy_decode", "sample_decode",
+               "top_k_filter", "top_p_filter"),
+    "fixtures": ("greedy_trap_model",),
+    "lm": ("LanguageModel", "NGramModel", "TableModel", "UnseenContextError",
+           "apply_temperature", "negative_log_likelihood", "softmax", "train_ngram"),
+    "metrics": ("EvalRecord", "EvalSummary", "RougeScore", "aggregate", "evaluate_pair",
+                "is_repetitive", "length_fraction", "register_stemmer", "render_table",
+                "rouge_l", "rouge_n", "stem_normalize"),
+    "tokenizer": ("TokenSequence", "Vocabulary", "char_vocabulary", "detokenize", "ngrams",
+                  "viterbi_segment", "word_tokenize"),
+}
+
+SCORED_PAIRS = [
+    ("Vyriausybė pritarė naujam biudžetui.", "Vyriausybė pritarė biudžeto projektui."),
+    ("Kaune šiandien lyja, o Vilniuje šviečia saulė.", "Kaune lyja."),
+    ("Seimas svarstė įstatymo pataisas.", "„Seimas“ svarstė pataisas antradienį."),
+]
+
+
 class TestStartup:
     def test_importing_loads_no_pool_and_no_hashlib(self):
         # a run that decodes in one process, or hashes no vocabulary, never
         # uses these; compared against what numpy itself already loaded
-        program = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
-                   "import numpy\nbefore = set(sys.modules)\n"
-                   "import santrauka, santrauka.cli, santrauka.metrics\n"
-                   "print(sorted(set(sys.modules) - before))")
-        done = subprocess.run([sys.executable, "-I", "-c", program], capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        loaded = set(ast.literal_eval(done.stdout))
+        loaded = set(ast.literal_eval(run_fresh(
+            "import numpy\nbefore = set(sys.modules)\n"
+            "import santrauka, santrauka.cli, santrauka.metrics\n"
+            "print(sorted(set(sys.modules) - before))")))
         assert "santrauka.cli" in loaded
         assert not loaded & {"concurrent.futures.process", "multiprocessing", "hashlib",
                              "_hashlib"}
+
+    def test_scoring_loads_no_numpy_until_aggregate(self):
+        out = run_fresh(
+            "import json\nimport santrauka.metrics\n"
+            "from santrauka.metrics import aggregate, evaluate_pair\n"
+            f"records = [evaluate_pair(c, r) for c, r in {SCORED_PAIRS!r}]\n"
+            "print('numpy' in sys.modules)\n"
+            "summary = aggregate(records)\n"
+            "print('numpy' in sys.modules)\n"
+            "print(json.dumps(summary.as_dict()))").splitlines()
+        assert out[:2] == ["False", "True"]
+        # the mean and sample std numpy gives, bit for bit
+        records = [evaluate_pair(c, r) for c, r in SCORED_PAIRS]
+        summary = json.loads(out[2])
+        for key, values in [("rouge1_f", [r.rouge1.f1 for r in records]),
+                            ("rouge2_f", [r.rouge2.f1 for r in records]),
+                            ("rougeL_f", [r.rougeL.f1 for r in records]),
+                            ("length_fraction", [r.length_fraction for r in records])]:
+            values = np.array(values)
+            assert summary[key]["mean"] == float(values.mean()), key
+            assert summary[key]["std"] == float(values.std(ddof=1)), key
+
+    @pytest.mark.parametrize("first", ["import santrauka", "import santrauka.cli",
+                                       "from santrauka.decode import DecodeConfig"])
+    def test_package_decode_is_the_function_whatever_is_imported_first(self, first):
+        out = run_fresh(
+            f"{first}\nimport importlib\nimport santrauka\n"
+            "function = importlib.import_module('santrauka.decode').decode\n"
+            "import santrauka.decode as alias\n"
+            "print(santrauka.decode is function, alias is function)")
+        assert out.split() == ["True", "True"]
+
+    @pytest.mark.parametrize("first", ["", "import santrauka.corpus, santrauka.lm, "
+                                           "santrauka.metrics"])
+    def test_importing_submodules_from_the_package_loads_decode(self, first):
+        # as perfbench/tracing.py does before it reads the decode module
+        out = run_fresh(f"{first}\nfrom santrauka import corpus, lm, metrics, tokenizer\n"
+                        "print('santrauka.decode' in sys.modules)")
+        assert out.split() == ["True"]
+
+    def test_every_exported_name_is_its_submodules_object(self):
+        out = run_fresh(
+            "import importlib\nimport santrauka\n"
+            "listed = dir(santrauka)\n"
+            "print(sorted(santrauka.__all__))\n"
+            "print(sorted(n for n in santrauka.__all__ if n not in listed))\n"
+            "star = {}\nexec('from santrauka import *', star)\n"
+            f"exports = {PACKAGE_EXPORTS!r}\n"
+            "wrong = []\n"
+            "for sub, names in exports.items():\n"
+            "    module = importlib.import_module(f'santrauka.{sub}')\n"
+            "    for name in names:\n"
+            "        if not getattr(santrauka, name) is star[name] is getattr(module, name):\n"
+            "            wrong.append(name)\n"
+            "    if sub != 'decode' and not getattr(santrauka, sub) is star[sub] is module:\n"
+            "        wrong.append(sub)\n"
+            "print(wrong)").splitlines()
+        names = {*PACKAGE_EXPORTS, *(n for names in PACKAGE_EXPORTS.values() for n in names)}
+        assert ast.literal_eval(out[0]) == sorted(names)
+        assert ast.literal_eval(out[1]) == []
+        assert ast.literal_eval(out[2]) == []
+
+    def test_threads_reading_the_package_at_once_see_every_export(self):
+        # a fresh package each round, read by more threads than cores with a
+        # short switch interval: a read must never see a half-bound package
+        out = run_fresh(
+            "import importlib, threading\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "import numpy\n"
+            "bad = 0\n"
+            "for _ in range(20):\n"
+            "    for name in [n for n in sys.modules if n.split('.')[0] == 'santrauka']:\n"
+            "        del sys.modules[name]\n"
+            "    package = importlib.import_module('santrauka')\n"
+            "    start = threading.Barrier(8)\n"
+            "    seen = []\n"
+            "    def read(i):\n"
+            "        start.wait(timeout=30)\n"
+            "        names = package.__all__[i:] + package.__all__[:i]\n"
+            "        seen.append({n: getattr(package, n) for n in names})\n"
+            "    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]\n"
+            "    for t in threads:\n"
+            "        t.start()\n"
+            "    for t in threads:\n"
+            "        t.join(timeout=30)\n"
+            "    function = sys.modules['santrauka.decode'].decode\n"
+            "    bad += any(t.is_alive() for t in threads) or len(seen) != 8\n"
+            "    bad += any(s['decode'] is not function or s != seen[0] for s in seen)\n"
+            "print(bad)")
+        assert out.split() == ["0"]
 
 
 def _crash_worker(task):
